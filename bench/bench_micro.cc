@@ -16,7 +16,6 @@
 #include "core/three_estimate.h"
 #include "core/truth_finder.h"
 #include "core/two_estimate.h"
-#include "core/vote_matrix.h"
 #include "core/voting.h"
 #include "synth/restaurant_sim.h"
 #include "synth/rumor_sim.h"
@@ -173,15 +172,6 @@ void BM_TruthFinderScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_TruthFinderScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
-
-void BM_VoteMatrixBuild(benchmark::State& state) {
-  const SyntheticDataset& data = SharedSynthetic(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(VoteMatrix(data.dataset));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_VoteMatrixBuild)->Arg(10000)->Arg(100000);
 
 void BM_IncEstHeuFull(benchmark::State& state) {
   const SyntheticDataset& data = SharedSynthetic(state.range(0));

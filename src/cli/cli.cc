@@ -135,7 +135,7 @@ GLOBAL FLAGS
       Cap fixpoint iterations / Gibbs sweeps / IncEstimate selection
       rounds; for `corrob stream`, total observed facts.
   --max-memory-mb N
-      Refuse runs whose resident vote matrix would exceed this size.
+      Refuse fixpoint runs whose CSR + CSC vote arrays exceed this size.
   --max-facts-per-round N
       Cap how many facts one IncEstimate round may commit.
 

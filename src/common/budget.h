@@ -108,7 +108,9 @@ class Deadline {
 struct ResourceBudget {
   /// Maximum fixpoint iterations / Gibbs sweeps / IncEstimate rounds.
   int64_t max_rounds = 0;
-  /// Maximum resident bytes of the per-run VoteMatrix (CSR + CSC).
+  /// Maximum bytes of the Dataset's CSR + CSC arrays a fixpoint run
+  /// sweeps (VoteMatrix::ResidentBytes); checked once before the
+  /// first iteration.
   int64_t max_vote_matrix_bytes = 0;
   /// Maximum facts an IncEstimate round may commit before the round
   /// is forced to end (bounds per-round latency and commit bursts).

@@ -36,7 +36,7 @@ Result<CorroborationResult> CosineCorroborator::Run(
   auto telemetry =
       MaybeStartTelemetry(options_.collect_telemetry, name(), dataset);
 
-  auto vote_sign = [](uint8_t is_true) { return is_true ? 1.0 : -1.0; };
+  auto vote_sign = [](Vote vote) { return vote == Vote::kTrue ? 1.0 : -1.0; };
   // `value` is rewritten in place by the truth sweep; snapshot it so a
   // mid-sweep interruption hands back the last completed iteration.
   const StopSignal* stop = context.sweep_stop();
@@ -57,19 +57,18 @@ Result<CorroborationResult> CosineCorroborator::Run(
     bool complete = matrix.ForEachFact(
         pool.get(),
         [&](FactId f) {
-      auto voters = matrix.FactSources(f);
+      auto voters = dataset.VotesOnFact(f);
       if (voters.empty()) {
         value[static_cast<size_t>(f)] = 0.0;
         return;
       }
-      auto is_true = matrix.FactVotesTrue(f);
       double numerator = 0.0;
       double denominator = 0.0;
-      for (size_t k = 0; k < voters.size(); ++k) {
-        const double t = trust[static_cast<size_t>(voters[k])];
+      for (const SourceVote& sv : voters) {
+        const double t = trust[static_cast<size_t>(sv.source)];
         const double w = std::copysign(
             std::pow(std::fabs(t), options_.trust_power), t);
-        numerator += vote_sign(is_true[k]) * w;
+        numerator += vote_sign(sv.vote) * w;
         denominator += std::fabs(w);
       }
       value[static_cast<size_t>(f)] =
@@ -86,14 +85,13 @@ Result<CorroborationResult> CosineCorroborator::Run(
       complete = matrix.ForEachSource(
           pool.get(),
           [&](SourceId s) {
-      auto voted = matrix.SourceFacts(s);
+      auto voted = dataset.VotesBySource(s);
       if (voted.empty()) return;
-      auto is_true = matrix.SourceVotesTrue(s);
       double dot = 0.0;
       double value_norm_sq = 0.0;
-      for (size_t k = 0; k < voted.size(); ++k) {
-        const double v = value[static_cast<size_t>(voted[k])];
-        dot += vote_sign(is_true[k]) * v;
+      for (const FactVote& fv : voted) {
+        const double v = value[static_cast<size_t>(fv.fact)];
+        dot += vote_sign(fv.vote) * v;
         value_norm_sq += v * v;
       }
       const double vote_norm = std::sqrt(static_cast<double>(voted.size()));

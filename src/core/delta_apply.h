@@ -15,7 +15,7 @@ namespace corrob {
 ///
 /// The rebuild goes through DatasetBuilder re-registering the base's
 /// sources and facts in id order, so ids — and therefore every CSR
-/// array, signature key and VoteMatrix derived from the result — are
+/// array and signature key derived from the result — are
 /// bit-identical to a single batch build that saw the same names in
 /// the same order followed by the same final votes. That is the
 /// metamorphic contract the WAL tests pin: replaying any surviving

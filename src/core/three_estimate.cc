@@ -63,18 +63,17 @@ Result<CorroborationResult> ThreeEstimateCorroborator::Run(
     bool complete = matrix.ForEachFact(
         pool.get(),
         [&](FactId f) {
-          auto voters = matrix.FactSources(f);
+          auto voters = dataset.VotesOnFact(f);
           if (voters.empty()) {
             probability[static_cast<size_t>(f)] = 0.5;
             return;
           }
-          auto is_true = matrix.FactVotesTrue(f);
           const double eps = difficulty[static_cast<size_t>(f)];
           double sum = 0.0;
-          for (size_t k = 0; k < voters.size(); ++k) {
+          for (const SourceVote& sv : voters) {
             const double correct =
-                1.0 - eps * (1.0 - trust[static_cast<size_t>(voters[k])]);
-            sum += is_true[k] ? correct : 1.0 - correct;
+                1.0 - eps * (1.0 - trust[static_cast<size_t>(sv.source)]);
+            sum += sv.vote == Vote::kTrue ? correct : 1.0 - correct;
           }
           probability[static_cast<size_t>(f)] =
               sum / static_cast<double>(voters.size());
@@ -90,15 +89,14 @@ Result<CorroborationResult> ThreeEstimateCorroborator::Run(
       complete = matrix.ForEachFact(
           pool.get(),
           [&](FactId f) {
-            auto voters = matrix.FactSources(f);
+            auto voters = dataset.VotesOnFact(f);
             if (voters.empty()) return;
-            auto is_true = matrix.FactVotesTrue(f);
             const bool decision = probability[static_cast<size_t>(f)] >= 0.5;
             double wrong = 0.0;
             double capacity = 0.0;
-            for (size_t k = 0; k < voters.size(); ++k) {
-              if ((is_true[k] != 0) != decision) wrong += 1.0;
-              capacity += 1.0 - trust[static_cast<size_t>(voters[k])];
+            for (const SourceVote& sv : voters) {
+              if ((sv.vote == Vote::kTrue) != decision) wrong += 1.0;
+              capacity += 1.0 - trust[static_cast<size_t>(sv.source)];
             }
             next_difficulty[static_cast<size_t>(f)] =
                 Clamp((wrong + delta_smooth / 2.0) / (capacity + delta_smooth),
@@ -115,16 +113,15 @@ Result<CorroborationResult> ThreeEstimateCorroborator::Run(
       complete = matrix.ForEachSource(
           pool.get(),
           [&](SourceId s) {
-            auto voted = matrix.SourceFacts(s);
+            auto voted = dataset.VotesBySource(s);
             if (voted.empty()) return;
-            auto is_true = matrix.SourceVotesTrue(s);
             double wrong = 0.0;
             double capacity = 0.0;
-            for (size_t k = 0; k < voted.size(); ++k) {
+            for (const FactVote& fv : voted) {
               const bool decision =
-                  probability[static_cast<size_t>(voted[k])] >= 0.5;
-              if ((is_true[k] != 0) != decision) wrong += 1.0;
-              capacity += difficulty[static_cast<size_t>(voted[k])];
+                  probability[static_cast<size_t>(fv.fact)] >= 0.5;
+              if ((fv.vote == Vote::kTrue) != decision) wrong += 1.0;
+              capacity += difficulty[static_cast<size_t>(fv.fact)];
             }
             next_trust[static_cast<size_t>(s)] =
                 Clamp(1.0 - (wrong + delta_smooth / 2.0) /

@@ -56,19 +56,18 @@ Result<CorroborationResult> TruthFinderCorroborator::Run(
     bool complete = matrix.ForEachFact(
         pool.get(),
         [&](FactId f) {
-      auto voters = matrix.FactSources(f);
+      auto voters = dataset.VotesOnFact(f);
       if (voters.empty()) {
         probability[static_cast<size_t>(f)] = 0.5;
         return;
       }
-      auto is_true = matrix.FactVotesTrue(f);
       double score_true = 0.0;
       double score_false = 0.0;
-      for (size_t k = 0; k < voters.size(); ++k) {
+      for (const SourceVote& sv : voters) {
         const double tau = -std::log(
-            Clamp(1.0 - trust[static_cast<size_t>(voters[k])],
+            Clamp(1.0 - trust[static_cast<size_t>(sv.source)],
                   options_.epsilon, 1.0));
-        (is_true[k] ? score_true : score_false) += tau;
+        (sv.vote == Vote::kTrue ? score_true : score_false) += tau;
       }
       const double adjusted_true =
           score_true - options_.exclusion_weight * score_false;
@@ -88,13 +87,12 @@ Result<CorroborationResult> TruthFinderCorroborator::Run(
       complete = matrix.ForEachSource(
           pool.get(),
           [&](SourceId s) {
-      auto voted = matrix.SourceFacts(s);
+      auto voted = dataset.VotesBySource(s);
       if (voted.empty()) return;
-      auto is_true = matrix.SourceVotesTrue(s);
       double sum = 0.0;
-      for (size_t k = 0; k < voted.size(); ++k) {
-        const double p = probability[static_cast<size_t>(voted[k])];
-        sum += is_true[k] ? p : 1.0 - p;
+      for (const FactVote& fv : voted) {
+        const double p = probability[static_cast<size_t>(fv.fact)];
+        sum += fv.vote == Vote::kTrue ? p : 1.0 - p;
       }
       next_trust[static_cast<size_t>(s)] =
           sum / static_cast<double>(voted.size());

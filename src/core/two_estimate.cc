@@ -72,7 +72,8 @@ Result<CorroborationResult> TwoEstimateCorroborator::Run(
     bool complete = matrix.ForEachFact(
         pool.get(),
         [&](FactId f) {
-          probability[static_cast<size_t>(f)] = matrix.RowScore(f, trust);
+          probability[static_cast<size_t>(f)] =
+              CorrobScore(dataset.VotesOnFact(f), trust);
         },
         stop);
     if (complete) {
@@ -82,13 +83,12 @@ Result<CorroborationResult> TwoEstimateCorroborator::Run(
       complete = matrix.ForEachSource(
           pool.get(),
           [&](SourceId s) {
-            auto voted = matrix.SourceFacts(s);
+            auto voted = dataset.VotesBySource(s);
             if (voted.empty()) return;
-            auto is_true = matrix.SourceVotesTrue(s);
             double sum = 0.0;
-            for (size_t k = 0; k < voted.size(); ++k) {
-              const double p = probability[static_cast<size_t>(voted[k])];
-              sum += is_true[k] ? p : 1.0 - p;
+            for (const FactVote& fv : voted) {
+              const double p = probability[static_cast<size_t>(fv.fact)];
+              sum += fv.vote == Vote::kTrue ? p : 1.0 - p;
             }
             next_trust[static_cast<size_t>(s)] =
                 sum / static_cast<double>(voted.size());

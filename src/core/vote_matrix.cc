@@ -1,50 +1,12 @@
 #include "core/vote_matrix.h"
 
-#include "obs/metrics.h"
-#include "obs/trace.h"
-
 namespace corrob {
-
-VoteMatrix::VoteMatrix(const Dataset& dataset)
-    : num_facts_(dataset.num_facts()), num_sources_(dataset.num_sources()) {
-  CORROB_TRACE_SPAN("VoteMatrix::Build");
-  static obs::Counter* builds =
-      obs::MetricsRegistry::Global().GetCounter("corrob.vote_matrix.builds");
-  static obs::Counter* votes_indexed =
-      obs::MetricsRegistry::Global().GetCounter(
-          "corrob.vote_matrix.votes_indexed");
-  builds->Add(1);
-  votes_indexed->Add(dataset.num_votes());
-  const size_t votes = static_cast<size_t>(dataset.num_votes());
-  fact_offsets_.reserve(static_cast<size_t>(num_facts_) + 1);
-  fact_sources_.reserve(votes);
-  fact_true_.reserve(votes);
-  fact_offsets_.push_back(0);
-  for (FactId f = 0; f < num_facts_; ++f) {
-    for (const SourceVote& sv : dataset.VotesOnFact(f)) {
-      fact_sources_.push_back(sv.source);
-      fact_true_.push_back(sv.vote == Vote::kTrue ? 1 : 0);
-    }
-    fact_offsets_.push_back(fact_sources_.size());
-  }
-  source_offsets_.reserve(static_cast<size_t>(num_sources_) + 1);
-  source_facts_.reserve(votes);
-  source_true_.reserve(votes);
-  source_offsets_.push_back(0);
-  for (SourceId s = 0; s < num_sources_; ++s) {
-    for (const FactVote& fv : dataset.VotesBySource(s)) {
-      source_facts_.push_back(fv.fact);
-      source_true_.push_back(fv.vote == Vote::kTrue ? 1 : 0);
-    }
-    source_offsets_.push_back(source_facts_.size());
-  }
-}
 
 bool VoteMatrix::ForEachFact(ThreadPool* pool,
                              const std::function<void(FactId)>& fn,
                              const StopSignal* stop) const {
   return ParallelApply(
-      pool, num_facts_,
+      pool, num_facts(),
       [&fn](int64_t begin, int64_t end) {
         for (int64_t f = begin; f < end; ++f) fn(static_cast<FactId>(f));
       },
@@ -55,7 +17,7 @@ bool VoteMatrix::ForEachSource(ThreadPool* pool,
                                const std::function<void(SourceId)>& fn,
                                const StopSignal* stop) const {
   return ParallelApply(
-      pool, num_sources_,
+      pool, num_sources(),
       [&fn](int64_t begin, int64_t end) {
         for (int64_t s = begin; s < end; ++s) fn(static_cast<SourceId>(s));
       },
@@ -63,12 +25,11 @@ bool VoteMatrix::ForEachSource(ThreadPool* pool,
 }
 
 int64_t VoteMatrix::ResidentBytes() const {
-  auto bytes = [](const auto& v) {
-    return static_cast<int64_t>(v.capacity() * sizeof(v[0]));
-  };
-  return static_cast<int64_t>(sizeof(*this)) + bytes(fact_offsets_) +
-         bytes(fact_sources_) + bytes(fact_true_) + bytes(source_offsets_) +
-         bytes(source_facts_) + bytes(source_true_);
+  const int64_t offsets = (int64_t{num_facts()} + 1 + num_sources() + 1) *
+                          static_cast<int64_t>(sizeof(size_t));
+  const int64_t entries =
+      num_votes() * static_cast<int64_t>(sizeof(SourceVote) + sizeof(FactVote));
+  return offsets + entries;
 }
 
 std::unique_ptr<ThreadPool> MakeSweepPool(int num_threads) {

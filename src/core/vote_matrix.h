@@ -4,86 +4,30 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
-#include <vector>
 
 #include "common/thread_pool.h"
 #include "data/dataset.h"
 
 namespace corrob {
 
-/// Compressed sparse vote matrix shared by the iterative
-/// corroborators' hot loops (the trust-propagation sweeps of
-/// TwoEstimate, ThreeEstimate, TruthFinder and Cosine, and
-/// IncEstimate's projection scans are all sparse matrix-vector
-/// products over this structure).
+/// Sweep view over a Dataset, shared by the iterative corroborators'
+/// hot loops (the trust-propagation sweeps of TwoEstimate,
+/// ThreeEstimate, TruthFinder and Cosine). The sweeps read the votes
+/// in place through Dataset::VotesOnFact / Dataset::VotesBySource;
+/// this view only partitions the fact and source id ranges across a
+/// pool and sizes the arrays those sweeps read.
 ///
-/// Both orientations are stored in structure-of-arrays form so the
-/// inner loops touch only the bytes they need:
-///   - CSR by fact:   row f lists its voters (ascending source id)
-///                    with a parallel 0/1 "is-T-vote" array;
-///   - CSC by source: column s lists the facts it voted on (ascending
-///                    fact id) with the same parallel vote array.
-/// Entry order is identical to Dataset::VotesOnFact /
-/// Dataset::VotesBySource, so any computation ported from the Dataset
-/// spans onto this layout visits votes in the same order and produces
-/// bit-identical floating-point results.
-///
-/// Build one per Corroborator::Run() (O(votes) copy) and reuse it for
-/// every iteration. Immutable after construction; safe to read from
-/// any number of threads.
+/// Non-owning and O(1) to build: `dataset` must outlive the view,
+/// which is why binding one to a temporary Dataset does not compile.
+/// Immutable; safe to read from any number of threads.
 class VoteMatrix {
  public:
-  VoteMatrix() = default;
-  explicit VoteMatrix(const Dataset& dataset);
+  explicit VoteMatrix(const Dataset& dataset) : dataset_(dataset) {}
+  VoteMatrix(Dataset&&) = delete;
 
-  int32_t num_facts() const { return num_facts_; }
-  int32_t num_sources() const { return num_sources_; }
-  int64_t num_votes() const {
-    return static_cast<int64_t>(fact_sources_.size());
-  }
-
-  /// Voters of fact `f`, ascending source id.
-  std::span<const int32_t> FactSources(FactId f) const {
-    const size_t i = static_cast<size_t>(f);
-    return {fact_sources_.data() + fact_offsets_[i],
-            static_cast<size_t>(fact_offsets_[i + 1] - fact_offsets_[i])};
-  }
-  /// Parallel to FactSources(f): 1 for a T vote, 0 for an F vote.
-  std::span<const uint8_t> FactVotesTrue(FactId f) const {
-    const size_t i = static_cast<size_t>(f);
-    return {fact_true_.data() + fact_offsets_[i],
-            static_cast<size_t>(fact_offsets_[i + 1] - fact_offsets_[i])};
-  }
-
-  /// Facts source `s` voted on, ascending fact id.
-  std::span<const int32_t> SourceFacts(SourceId s) const {
-    const size_t i = static_cast<size_t>(s);
-    return {source_facts_.data() + source_offsets_[i],
-            static_cast<size_t>(source_offsets_[i + 1] - source_offsets_[i])};
-  }
-  /// Parallel to SourceFacts(s): 1 for a T vote, 0 for an F vote.
-  std::span<const uint8_t> SourceVotesTrue(SourceId s) const {
-    const size_t i = static_cast<size_t>(s);
-    return {source_true_.data() + source_offsets_[i],
-            static_cast<size_t>(source_offsets_[i + 1] - source_offsets_[i])};
-  }
-
-  /// The Eq. 5 corroboration score of row `f` under `trust`: the mean
-  /// over voters of σ(s) for a T vote and 1-σ(s) for an F vote, 0.5
-  /// for a voteless fact. Bit-identical to CorrobScore() over the
-  /// Dataset span (same summation order).
-  double RowScore(FactId f, const std::vector<double>& trust) const {
-    auto sources = FactSources(f);
-    if (sources.empty()) return 0.5;
-    auto is_true = FactVotesTrue(f);
-    double sum = 0.0;
-    for (size_t k = 0; k < sources.size(); ++k) {
-      const double t = trust[static_cast<size_t>(sources[k])];
-      sum += is_true[k] ? t : 1.0 - t;
-    }
-    return sum / static_cast<double>(sources.size());
-  }
+  int32_t num_facts() const { return dataset_.num_facts(); }
+  int32_t num_sources() const { return dataset_.num_sources(); }
+  int64_t num_votes() const { return dataset_.num_votes(); }
 
   /// Parallel per-fact / per-source sweeps: runs fn(i) for every id,
   /// partitioned by output index across `pool` (inline when `pool` is
@@ -104,19 +48,13 @@ class VoteMatrix {
                      const std::function<void(SourceId)>& fn,
                      const StopSignal* stop = nullptr) const;
 
-  /// Heap + inline bytes held by the CSR/CSC arrays; what
+  /// Bytes of the Dataset's CSR/CSC arrays (offsets plus vote
+  /// entries, both orientations) that a sweep reads; what
   /// ResourceBudget::max_vote_matrix_bytes is enforced against.
   int64_t ResidentBytes() const;
 
  private:
-  int32_t num_facts_ = 0;
-  int32_t num_sources_ = 0;
-  std::vector<size_t> fact_offsets_;    // size num_facts()+1
-  std::vector<int32_t> fact_sources_;
-  std::vector<uint8_t> fact_true_;
-  std::vector<size_t> source_offsets_;  // size num_sources()+1
-  std::vector<int32_t> source_facts_;
-  std::vector<uint8_t> source_true_;
+  const Dataset& dataset_;
 };
 
 /// Worker pool for the iterative sweeps: null for num_threads <= 1

@@ -24,9 +24,9 @@
 //
 // Hot paths cache the pointer once:
 //
-//   static Counter* builds =
-//       MetricsRegistry::Global().GetCounter("corrob.vote_matrix.builds");
-//   builds->Add(1);
+//   static Counter* scans =
+//       MetricsRegistry::Global().GetCounter("corrob.inc_est.delta_h_scans");
+//   scans->Add(1);
 
 namespace corrob {
 namespace obs {

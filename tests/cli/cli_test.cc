@@ -1,8 +1,11 @@
 #include "cli/cli.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -19,7 +22,7 @@ namespace {
 class CliTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dataset_path_ = ::testing::TempDir() + "/corrob_cli_dataset.csv";
+    dataset_path_ = UniquePath("corrob_cli_dataset.csv");
     MotivatingExample example = MakeMotivatingExample();
     ASSERT_TRUE(
         SaveDatasetCsv(dataset_path_, example.dataset, &example.truth).ok());
@@ -31,9 +34,18 @@ class CliTest : public ::testing::Test {
   }
 
   std::string TempPath(const std::string& name) {
-    std::string path = ::testing::TempDir() + "/" + name;
+    std::string path = UniquePath(name);
     cleanup_.push_back(path);
     return path;
+  }
+
+  // `name` under the temp dir, prefixed with the running test's name
+  // and the pid so that concurrent test processes never share a file.
+  static std::string UniquePath(const std::string& name) {
+    const ::testing::TestInfo* test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return ::testing::TempDir() + "/" + test->name() + "_" +
+           std::to_string(getpid()) + "_" + name;
   }
 
   int Run(std::vector<std::string> args) {

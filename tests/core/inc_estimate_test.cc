@@ -298,13 +298,22 @@ TEST(IncEstHeuTest, IdentifiesPollutedSourcesOnSyntheticData) {
 /// Property sweep: on random synthetic corpora of varying shape, the
 /// incremental run remains well-formed (all facts committed, bounded
 /// probabilities/trust, trajectory consistent).
+///
+/// gtest names each case by the bytes of its parameter, so the struct
+/// must have no padding: `facts` is 64-bit to fill the slot before
+/// `eta`, which keeps the test names the same from run to run.
 struct IncPropertyCase {
   int sources;
   int inaccurate;
-  int facts;
+  int64_t facts;
   double eta;
   uint64_t seed;
 };
+
+static_assert(sizeof(IncPropertyCase) ==
+                  2 * sizeof(int) + sizeof(int64_t) + sizeof(double) +
+                      sizeof(uint64_t),
+              "IncPropertyCase must have no padding");
 
 class IncEstimatePropertyTest
     : public ::testing::TestWithParam<IncPropertyCase> {};
@@ -314,7 +323,7 @@ TEST_P(IncEstimatePropertyTest, RunIsWellFormed) {
   SyntheticOptions options;
   options.num_sources = c.sources;
   options.num_inaccurate = c.inaccurate;
-  options.num_facts = c.facts;
+  options.num_facts = static_cast<int32_t>(c.facts);
   options.eta = c.eta;
   options.seed = c.seed;
   SyntheticDataset data = GenerateSynthetic(options).ValueOrDie();

@@ -1,77 +1,42 @@
-// VoteMatrix: the CSR/CSC layouts must mirror the Dataset views
-// entry for entry, and RowScore must be bit-identical to CorrobScore.
+// VoteMatrix: a non-owning sweep view over a Dataset. Its ForEach
+// sweeps cover every id once, and its ResidentBytes is what the
+// iterative corroborators check ResourceBudget::max_vote_matrix_bytes
+// against.
 
 #include "core/vote_matrix.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
-#include "core/corroborator.h"
+#include "common/budget.h"
+#include "core/registry.h"
+#include "core/run_context.h"
 #include "testing/property.h"
 
 namespace corrob {
 namespace {
 
-using proptest::ForEachSeed;
+using proptest::ExpectBitIdenticalBestSoFar;
+using proptest::ExpectBitIdenticalResults;
 using proptest::MakeRandomDataset;
 
+// The view borrows the Dataset; binding it to a temporary would
+// dangle.
+static_assert(!std::is_constructible_v<VoteMatrix, Dataset&&>);
+
 TEST(VoteMatrixTest, EmptyDataset) {
-  VoteMatrix matrix((Dataset()));
+  const Dataset dataset;
+  VoteMatrix matrix(dataset);
   EXPECT_EQ(matrix.num_facts(), 0);
   EXPECT_EQ(matrix.num_sources(), 0);
   EXPECT_EQ(matrix.num_votes(), 0);
-}
-
-TEST(VoteMatrixTest, MirrorsDatasetViewsInOrder) {
-  ForEachSeed(0x3A7121, 10, [&](uint64_t seed) {
-    Dataset dataset = MakeRandomDataset(seed);
-    VoteMatrix matrix(dataset);
-    ASSERT_EQ(matrix.num_facts(), dataset.num_facts());
-    ASSERT_EQ(matrix.num_sources(), dataset.num_sources());
-    ASSERT_EQ(matrix.num_votes(), dataset.num_votes());
-
-    for (FactId f = 0; f < dataset.num_facts(); ++f) {
-      auto expected = dataset.VotesOnFact(f);
-      auto sources = matrix.FactSources(f);
-      auto is_true = matrix.FactVotesTrue(f);
-      ASSERT_EQ(sources.size(), expected.size()) << "fact " << f;
-      ASSERT_EQ(is_true.size(), expected.size()) << "fact " << f;
-      for (size_t k = 0; k < expected.size(); ++k) {
-        EXPECT_EQ(sources[k], expected[k].source);
-        EXPECT_EQ(is_true[k], expected[k].vote == Vote::kTrue ? 1 : 0);
-      }
-    }
-    for (SourceId s = 0; s < dataset.num_sources(); ++s) {
-      auto expected = dataset.VotesBySource(s);
-      auto facts = matrix.SourceFacts(s);
-      auto is_true = matrix.SourceVotesTrue(s);
-      ASSERT_EQ(facts.size(), expected.size()) << "source " << s;
-      for (size_t k = 0; k < expected.size(); ++k) {
-        EXPECT_EQ(facts[k], expected[k].fact);
-        EXPECT_EQ(is_true[k], expected[k].vote == Vote::kTrue ? 1 : 0);
-      }
-    }
-  });
-}
-
-TEST(VoteMatrixTest, RowScoreBitIdenticalToCorrobScore) {
-  ForEachSeed(0x5C04E, 10, [&](uint64_t seed) {
-    Dataset dataset = MakeRandomDataset(seed);
-    VoteMatrix matrix(dataset);
-    Rng rng(seed ^ 0x7A);
-    std::vector<double> trust(static_cast<size_t>(dataset.num_sources()));
-    for (double& t : trust) t = rng.NextDouble();
-    for (FactId f = 0; f < dataset.num_facts(); ++f) {
-      EXPECT_EQ(
-          std::bit_cast<uint64_t>(matrix.RowScore(f, trust)),
-          std::bit_cast<uint64_t>(CorrobScore(dataset.VotesOnFact(f), trust)))
-          << "fact " << f;
-    }
-  });
 }
 
 TEST(VoteMatrixTest, ForEachCoversEveryIdOnceSequentially) {
@@ -111,6 +76,61 @@ TEST(MakeSweepPoolTest, NullForSequentialCounts) {
   ASSERT_NE(pool, nullptr);
   EXPECT_EQ(pool->num_threads(), 3);
 }
+
+// The byte cap through real runs of every method that sweeps the
+// view, sequential and pooled.
+class VoteMatrixByteCapTest
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {
+ protected:
+  std::unique_ptr<Corroborator> Make() const {
+    CorroboratorOptions options;
+    options.num_threads = std::get<1>(GetParam());
+    return MakeCorroborator(std::get<0>(GetParam()), options).ValueOrDie();
+  }
+
+  CorroborationResult Run(const RunContext& context) const {
+    return Make()->Run(dataset_, context).ValueOrDie();
+  }
+
+  const Dataset dataset_ = MakeRandomDataset(0xB17E);
+};
+
+TEST_P(VoteMatrixByteCapTest, OneByteCapExhaustsBeforeTheFirstIteration) {
+  ResourceBudget budget;
+  budget.max_vote_matrix_bytes = 1;
+  const CorroborationResult capped = Run(RunContext().WithBudget(budget));
+  EXPECT_EQ(capped.termination, Termination::kBudgetExhausted);
+  EXPECT_EQ(capped.iterations, 0);
+  for (double p : capped.fact_probability) EXPECT_EQ(p, 0.5);
+
+  // The initial state: what a run cancelled before its first
+  // iteration hands back.
+  CancellationToken token;
+  token.Cancel();
+  const CorroborationResult cancelled =
+      Run(RunContext().WithCancellation(&token));
+  ASSERT_EQ(cancelled.iterations, 0);
+  ExpectBitIdenticalBestSoFar(capped, cancelled);
+}
+
+TEST_P(VoteMatrixByteCapTest, CapAtResidentBytesRunsUntouched) {
+  ResourceBudget budget;
+  budget.max_vote_matrix_bytes = VoteMatrix(dataset_).ResidentBytes();
+  const CorroborationResult capped = Run(RunContext().WithBudget(budget));
+  EXPECT_NE(capped.termination, Termination::kBudgetExhausted);
+  EXPECT_GT(capped.iterations, 0);
+  ExpectBitIdenticalResults(capped, Run(RunContext::Unbounded()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SweepMethods, VoteMatrixByteCapTest,
+    ::testing::Combine(::testing::Values("TwoEstimate", "ThreeEstimate",
+                                         "TruthFinder", "Cosine"),
+                       ::testing::Values(1, 4)),
+    [](const auto& info) {
+      return std::get<0>(info.param) + "_" +
+             std::to_string(std::get<1>(info.param)) + "threads";
+    });
 
 }  // namespace
 }  // namespace corrob

@@ -61,6 +61,15 @@ TEST(DatasetBuilderTest, NoneVoteErases) {
   EXPECT_EQ(d.num_votes(), 0);
 }
 
+TEST(DatasetBuilderTest, GetVoteReadsBack) {
+  DatasetBuilder builder;
+  SourceId s = builder.AddSource("s");
+  FactId f = builder.AddFact("f");
+  EXPECT_EQ(builder.GetVote(s, f), Vote::kNone);
+  ASSERT_TRUE(builder.SetVote(s, f, Vote::kFalse).ok());
+  EXPECT_EQ(builder.GetVote(s, f), Vote::kFalse);
+}
+
 TEST(DatasetTest, ViewsAreConsistent) {
   Dataset d = MakeSmall();
   EXPECT_EQ(d.num_sources(), 2);

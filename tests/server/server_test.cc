@@ -657,6 +657,10 @@ TEST_F(CorrobdServerTest, BatchReportsPerItemStatuses) {
 
   // One frame went over the wire, and the good item's standalone
   // framing matches an actual standalone request (a cache hit now).
+  // The daemon counts a response only after its write returns, which
+  // can trail the client's read, so wait for the count to land.
+  EXPECT_TRUE(EventuallyTrue(
+      [&] { return daemon.server().responses_sent() >= 1; }));
   EXPECT_EQ(daemon.server().responses_sent(), 1);
   CorroborateRequest standalone;
   standalone.dataset = "table1";
