@@ -11,6 +11,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/csv.h"
 #include "common/failpoint.h"
@@ -40,100 +41,26 @@ constexpr size_t kMaxRecordPayload = 16 * 1024 * 1024;
 
 constexpr std::string_view kSnapshotFileName = "snapshot.snap";
 
-void PutU8(std::string* out, uint8_t value) {
-  out->push_back(static_cast<char>(value));
-}
-
-void PutU32(std::string* out, uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
-}
-
-void PutU64(std::string* out, uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
-}
-
-void PutLenString(std::string* out, std::string_view text) {
-  PutU32(out, static_cast<uint32_t>(text.size()));
-  out->append(text);
-}
-
-/// Cursor over a record payload; all reads are bounds-checked.
-class PayloadCursor {
- public:
-  explicit PayloadCursor(std::string_view bytes) : bytes_(bytes) {}
-
-  bool ReadU8(uint8_t* out) {
-    if (offset_ + 1 > bytes_.size()) return false;
-    *out = static_cast<uint8_t>(bytes_[offset_]);
-    offset_ += 1;
-    return true;
-  }
-
-  bool ReadU32(uint32_t* out) {
-    if (offset_ + 4 > bytes_.size()) return false;
-    uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      value |= static_cast<uint32_t>(
-                   static_cast<uint8_t>(bytes_[offset_ + i]))
-               << (8 * i);
-    }
-    offset_ += 4;
-    *out = value;
-    return true;
-  }
-
-  bool ReadU64(uint64_t* out) {
-    if (offset_ + 8 > bytes_.size()) return false;
-    uint64_t value = 0;
-    for (int i = 0; i < 8; ++i) {
-      value |= static_cast<uint64_t>(
-                   static_cast<uint8_t>(bytes_[offset_ + i]))
-               << (8 * i);
-    }
-    offset_ += 8;
-    *out = value;
-    return true;
-  }
-
-  bool ReadLenString(std::string* out) {
-    uint32_t length = 0;
-    if (!ReadU32(&length)) return false;
-    if (offset_ + length > bytes_.size()) return false;
-    out->assign(bytes_.substr(offset_, length));
-    offset_ += length;
-    return true;
-  }
-
-  bool AtEnd() const { return offset_ == bytes_.size(); }
-
- private:
-  std::string_view bytes_;
-  size_t offset_ = 0;
-};
-
 std::string EncodePayload(const WalRecord& record) {
   std::string payload;
+  ByteWriter writer(&payload);
   switch (record.type) {
     case WalRecordType::kAddSource:
-      PutLenString(&payload, record.source);
+      writer.Str(record.source);
       break;
     case WalRecordType::kAddVote:
-      PutLenString(&payload, record.source);
-      PutLenString(&payload, record.fact);
-      PutU8(&payload, static_cast<uint8_t>(VoteToChar(record.vote)));
+      writer.Str(record.source);
+      writer.Str(record.fact);
+      writer.U8(static_cast<uint8_t>(VoteToChar(record.vote)));
       break;
     case WalRecordType::kRetractVote:
-      PutLenString(&payload, record.source);
-      PutLenString(&payload, record.fact);
+      writer.Str(record.source);
+      writer.Str(record.fact);
       break;
     case WalRecordType::kSnapshotMarker:
-      PutU32(&payload, record.snapshot_crc);
-      PutU64(&payload, record.records_folded);
-      PutU64(&payload, record.compaction_seq);
+      writer.U32(record.snapshot_crc);
+      writer.U64(record.records_folded);
+      writer.U64(record.compaction_seq);
       break;
   }
   return payload;
@@ -146,10 +73,11 @@ std::string EncodePayload(const WalRecord& record) {
 std::string FrameRecord(uint8_t type_byte, std::string_view payload) {
   std::string framed;
   framed.reserve(kRecordHeaderBytes + payload.size() + kRecordTrailerBytes);
-  PutU8(&framed, type_byte);
-  PutU32(&framed, static_cast<uint32_t>(payload.size()));
-  framed.append(payload);
-  PutU32(&framed, ComputeCrc32(framed));
+  ByteWriter writer(&framed);
+  writer.U8(type_byte);
+  writer.U32(static_cast<uint32_t>(payload.size()));
+  writer.Raw(payload);
+  writer.U32(ComputeCrc32(framed));
   return framed;
 }
 
@@ -158,56 +86,42 @@ std::string FrameRecord(uint8_t type_byte, std::string_view payload) {
 /// caller reports it as corruption regardless of position.
 Result<WalRecord> DecodePayload(uint8_t type_byte, std::string_view payload) {
   WalRecord record;
-  PayloadCursor cursor(payload);
+  ByteReader reader(payload, "wal: record payload");
+  uint8_t vote_char = 0;
   switch (type_byte) {
-    case static_cast<uint8_t>(WalRecordType::kAddSource): {
+    case static_cast<uint8_t>(WalRecordType::kAddSource):
       record.type = WalRecordType::kAddSource;
-      if (!cursor.ReadLenString(&record.source)) {
-        return Status::ParseError("wal: short add-source payload");
-      }
+      record.source = reader.Str();
       break;
-    }
-    case static_cast<uint8_t>(WalRecordType::kAddVote): {
+    case static_cast<uint8_t>(WalRecordType::kAddVote):
       record.type = WalRecordType::kAddVote;
-      uint8_t vote_char = 0;
-      if (!cursor.ReadLenString(&record.source) ||
-          !cursor.ReadLenString(&record.fact) ||
-          !cursor.ReadU8(&vote_char)) {
-        return Status::ParseError("wal: short add-vote payload");
-      }
-      CORROB_ASSIGN_OR_RETURN(record.vote,
-                              VoteFromChar(static_cast<char>(vote_char)));
-      if (record.vote == Vote::kNone) {
-        return Status::ParseError(
-            "wal: add-vote carries '-'; retract-vote erases votes");
-      }
+      record.source = reader.Str();
+      record.fact = reader.Str();
+      vote_char = reader.U8();
       break;
-    }
-    case static_cast<uint8_t>(WalRecordType::kRetractVote): {
+    case static_cast<uint8_t>(WalRecordType::kRetractVote):
       record.type = WalRecordType::kRetractVote;
-      if (!cursor.ReadLenString(&record.source) ||
-          !cursor.ReadLenString(&record.fact)) {
-        return Status::ParseError("wal: short retract-vote payload");
-      }
+      record.source = reader.Str();
+      record.fact = reader.Str();
       break;
-    }
-    case static_cast<uint8_t>(WalRecordType::kSnapshotMarker): {
+    case static_cast<uint8_t>(WalRecordType::kSnapshotMarker):
       record.type = WalRecordType::kSnapshotMarker;
-      if (!cursor.ReadU32(&record.snapshot_crc) ||
-          !cursor.ReadU64(&record.records_folded) ||
-          !cursor.ReadU64(&record.compaction_seq)) {
-        return Status::ParseError("wal: short snapshot-marker payload");
-      }
+      record.snapshot_crc = reader.U32();
+      record.records_folded = reader.U64();
+      record.compaction_seq = reader.U64();
       break;
-    }
     default:
       return Status::ParseError("wal: unknown record type " +
                                 std::to_string(type_byte));
   }
-  if (!cursor.AtEnd()) {
-    return Status::ParseError("wal: trailing bytes after " +
-                              std::string(WalRecordTypeName(record.type)) +
-                              " payload");
+  CORROB_RETURN_NOT_OK(reader.Finish());
+  if (record.type == WalRecordType::kAddVote) {
+    CORROB_ASSIGN_OR_RETURN(record.vote,
+                            VoteFromChar(static_cast<char>(vote_char)));
+    if (record.vote == Vote::kNone) {
+      return Status::ParseError(
+          "wal: add-vote carries '-'; retract-vote erases votes");
+    }
   }
   return record;
 }
@@ -224,17 +138,15 @@ Status AppendDecodedRecords(uint8_t type_byte, std::string_view payload,
     out->push_back(std::move(record));
     return Status::OK();
   }
-  PayloadCursor cursor(payload);
-  uint32_t count = 0;
-  if (!cursor.ReadU32(&count) || count == 0) {
-    return Status::ParseError("wal: empty or short batch record");
-  }
+  ByteReader reader(payload, "wal: batch record");
+  // Each sub-record needs at least its type byte and length prefix.
+  const uint32_t count = reader.Count(1 + 4);
+  CORROB_RETURN_NOT_OK(reader.status());
+  if (count == 0) return Status::ParseError("wal: empty batch record");
   for (uint32_t i = 0; i < count; ++i) {
-    uint8_t sub_type = 0;
-    std::string sub_payload;
-    if (!cursor.ReadU8(&sub_type) || !cursor.ReadLenString(&sub_payload)) {
-      return Status::ParseError("wal: short batch record");
-    }
+    const uint8_t sub_type = reader.U8();
+    const std::string_view sub_payload = reader.Str();
+    CORROB_RETURN_NOT_OK(reader.status());
     if (sub_type == kBatchTypeByte ||
         sub_type == static_cast<uint8_t>(WalRecordType::kSnapshotMarker)) {
       return Status::ParseError(
@@ -244,10 +156,7 @@ Status AppendDecodedRecords(uint8_t type_byte, std::string_view payload,
                             DecodePayload(sub_type, sub_payload));
     out->push_back(std::move(record));
   }
-  if (!cursor.AtEnd()) {
-    return Status::ParseError("wal: trailing bytes after batch payload");
-  }
-  return Status::OK();
+  return reader.Finish();
 }
 
 /// Outcome of scanning one segment's bytes.
@@ -276,9 +185,7 @@ Result<SegmentScan> ScanSegmentBytes(std::string_view contents,
   if (contents.substr(0, kSegmentMagic.size()) != kSegmentMagic) {
     return Status::ParseError("wal: bad segment magic in " + path);
   }
-  PayloadCursor header(contents.substr(kSegmentMagic.size(), 4));
-  uint32_t version = 0;
-  (void)header.ReadU32(&version);  // lint: discard-ok: 4 bytes are present
+  const uint32_t version = LoadU32(contents.data() + kSegmentMagic.size());
   if (version != kSegmentVersion) {
     return Status::FailedPrecondition(
         "wal: segment version " + std::to_string(version) + " in " + path +
@@ -292,9 +199,7 @@ Result<SegmentScan> ScanSegmentBytes(std::string_view contents,
       return scan;
     }
     const uint8_t type_byte = static_cast<uint8_t>(contents[offset]);
-    PayloadCursor length_cursor(contents.substr(offset + 1, 4));
-    uint32_t payload_length = 0;
-    (void)length_cursor.ReadU32(&payload_length);  // lint: discard-ok: 4 bytes are present
+    const uint32_t payload_length = LoadU32(contents.data() + offset + 1);
     if (payload_length > kMaxRecordPayload) {
       scan.torn = true;
       return scan;
@@ -307,10 +212,8 @@ Result<SegmentScan> ScanSegmentBytes(std::string_view contents,
     }
     const std::string_view payload =
         contents.substr(offset + kRecordHeaderBytes, payload_length);
-    PayloadCursor crc_cursor(
-        contents.substr(offset + kRecordHeaderBytes + payload_length, 4));
-    uint32_t stored_crc = 0;
-    (void)crc_cursor.ReadU32(&stored_crc);  // lint: discard-ok: 4 bytes are present
+    const uint32_t stored_crc =
+        LoadU32(contents.data() + offset + kRecordHeaderBytes + payload_length);
     // The CRC spans header + payload, so the length field itself is
     // covered: a flipped length fails here instead of silently
     // re-framing everything after it.
@@ -341,17 +244,13 @@ bool HasIntactRecordAfter(std::string_view contents, size_t from) {
        ++offset) {
     const uint8_t type_byte = static_cast<uint8_t>(contents[offset]);
     if (type_byte < 1 || type_byte > kBatchTypeByte) continue;
-    PayloadCursor length_cursor(contents.substr(offset + 1, 4));
-    uint32_t payload_length = 0;
-    (void)length_cursor.ReadU32(&payload_length);  // lint: discard-ok: 4 bytes are present
+    const uint32_t payload_length = LoadU32(contents.data() + offset + 1);
     if (payload_length > kMaxRecordPayload) continue;
     const size_t record_end =
         offset + kRecordHeaderBytes + payload_length + kRecordTrailerBytes;
     if (record_end > contents.size()) continue;
-    PayloadCursor crc_cursor(
-        contents.substr(offset + kRecordHeaderBytes + payload_length, 4));
-    uint32_t stored_crc = 0;
-    (void)crc_cursor.ReadU32(&stored_crc);  // lint: discard-ok: 4 bytes are present
+    const uint32_t stored_crc =
+        LoadU32(contents.data() + offset + kRecordHeaderBytes + payload_length);
     if (ComputeCrc32(contents.substr(
             offset, kRecordHeaderBytes + payload_length)) == stored_crc) {
       return true;
@@ -417,28 +316,23 @@ Status LoadSnapshot(const std::string& dir, WalRecovery* out) {
       kSnapshotMagic) {
     return Status::ParseError("wal: bad snapshot magic: " + path);
   }
-  PayloadCursor cursor(
-      std::string_view(blob).substr(kSnapshotMagic.size()));
-  uint32_t version = 0;
-  uint64_t compaction_seq = 0;
-  uint64_t payload_size = 0;
-  (void)cursor.ReadU32(&version);        // lint: discard-ok: bounds checked above
-  (void)cursor.ReadU64(&compaction_seq); // lint: discard-ok: bounds checked above
-  (void)cursor.ReadU64(&payload_size);   // lint: discard-ok: bounds checked above
+  const char* fields = blob.data() + kSnapshotMagic.size();
+  const uint32_t version = LoadU32(fields);
+  const uint64_t compaction_seq = LoadU64(fields + 4);
+  const uint64_t payload_size = LoadU64(fields + 12);
   if (version != kSnapshotVersion) {
     return Status::FailedPrecondition(
         "wal: snapshot version " + std::to_string(version) + " in " + path +
         "; this build reads version " + std::to_string(kSnapshotVersion));
   }
-  if (blob.size() != header_bytes + payload_size + 4) {
+  // Compared by subtraction so a huge size field cannot wrap the sum.
+  if (blob.size() - header_bytes < 4 ||
+      payload_size != blob.size() - header_bytes - 4) {
     return Status::ParseError("wal: snapshot size mismatch: " + path);
   }
   const std::string_view payload =
       std::string_view(blob).substr(header_bytes, payload_size);
-  PayloadCursor crc_cursor(
-      std::string_view(blob).substr(header_bytes + payload_size, 4));
-  uint32_t stored_crc = 0;
-  (void)crc_cursor.ReadU32(&stored_crc);  // lint: discard-ok: bounds checked above
+  const uint32_t stored_crc = LoadU32(payload.data() + payload.size());
   const uint32_t computed = ComputeCrc32(payload);
   if (computed != stored_crc) {
     return Status::ParseError("wal: snapshot CRC mismatch: " + path);
@@ -657,17 +551,18 @@ std::string EncodeRecord(const WalRecord& record) {
 
 std::string EncodeBatchRecord(std::span<const WalRecord> records) {
   std::string payload;
-  PutU32(&payload, static_cast<uint32_t>(records.size()));
+  ByteWriter writer(&payload);
+  writer.U32(static_cast<uint32_t>(records.size()));
   for (const WalRecord& record : records) {
-    PutU8(&payload, static_cast<uint8_t>(record.type));
-    PutLenString(&payload, EncodePayload(record));
+    writer.U8(static_cast<uint8_t>(record.type));
+    writer.Str(EncodePayload(record));
   }
   return FrameRecord(kBatchTypeByte, payload);
 }
 
 std::string SegmentHeader() {
   std::string header(kSegmentMagic);
-  PutU32(&header, kSegmentVersion);
+  ByteWriter(&header).U32(kSegmentVersion);
   return header;
 }
 
@@ -903,11 +798,12 @@ Status WalWriter::Compact(std::string_view dataset_csv,
   const uint64_t seq = compaction_seq_ + 1;
   const uint32_t crc = ComputeCrc32(dataset_csv);
   std::string blob(kSnapshotMagic);
-  PutU32(&blob, kSnapshotVersion);
-  PutU64(&blob, seq);
-  PutU64(&blob, static_cast<uint64_t>(dataset_csv.size()));
-  blob.append(dataset_csv);
-  PutU32(&blob, crc);
+  ByteWriter writer(&blob);
+  writer.U32(kSnapshotVersion);
+  writer.U64(seq);
+  writer.U64(static_cast<uint64_t>(dataset_csv.size()));
+  writer.Raw(dataset_csv);
+  writer.U32(crc);
   CORROB_RETURN_NOT_OK(WriteFileAtomic(
       dir_ + "/" + std::string(kSnapshotFileName), blob));
   // The on-disk snapshot is the authority from here on: even if a

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/failpoint.h"
 #include "common/socket.h"
@@ -10,20 +11,6 @@ namespace corrob {
 namespace server {
 
 namespace {
-
-void PutU32(std::string* out, uint32_t value) {
-  out->push_back(static_cast<char>(value & 0xFF));
-  out->push_back(static_cast<char>((value >> 8) & 0xFF));
-  out->push_back(static_cast<char>((value >> 16) & 0xFF));
-  out->push_back(static_cast<char>((value >> 24) & 0xFF));
-}
-
-uint32_t GetU32(const char* bytes) {
-  return static_cast<uint32_t>(static_cast<uint8_t>(bytes[0])) |
-         static_cast<uint32_t>(static_cast<uint8_t>(bytes[1])) << 8 |
-         static_cast<uint32_t>(static_cast<uint8_t>(bytes[2])) << 16 |
-         static_cast<uint32_t>(static_cast<uint8_t>(bytes[3])) << 24;
-}
 
 uint32_t FrameChecksum(uint8_t type, std::string_view payload) {
   Crc32 crc;
@@ -130,12 +117,12 @@ std::string EncodeFrame(const Frame& frame) {
   std::string out;
   out.reserve(kFrameHeaderBytes + frame.payload.size() +
               kFrameTrailerBytes);
-  PutU32(&out, kFrameMagic);
-  out.push_back(static_cast<char>(frame.type));
-  PutU32(&out, static_cast<uint32_t>(frame.payload.size()));
-  out.append(frame.payload);
-  PutU32(&out, FrameChecksum(static_cast<uint8_t>(frame.type),
-                             frame.payload));
+  ByteWriter writer(&out);
+  writer.U32(kFrameMagic);
+  writer.U8(static_cast<uint8_t>(frame.type));
+  writer.U32(static_cast<uint32_t>(frame.payload.size()));
+  writer.Raw(frame.payload);
+  writer.U32(FrameChecksum(static_cast<uint8_t>(frame.type), frame.payload));
   return out;
 }
 
@@ -147,9 +134,9 @@ Result<Frame> DecodeFrame(std::string_view wire, size_t* consumed) {
                               std::to_string(kFrameHeaderBytes) +
                               "-byte header");
   }
-  const uint32_t magic = GetU32(wire.data());
+  const uint32_t magic = LoadU32(wire.data());
   const uint8_t raw_type = static_cast<uint8_t>(wire[4]);
-  const uint32_t payload_length = GetU32(wire.data() + 5);
+  const uint32_t payload_length = LoadU32(wire.data() + 5);
   CORROB_RETURN_NOT_OK(CheckHeader(magic, raw_type, payload_length));
   const size_t total =
       kFrameHeaderBytes + payload_length + kFrameTrailerBytes;
@@ -161,7 +148,7 @@ Result<Frame> DecodeFrame(std::string_view wire, size_t* consumed) {
   const std::string_view payload =
       wire.substr(kFrameHeaderBytes, payload_length);
   const uint32_t stored =
-      GetU32(wire.data() + kFrameHeaderBytes + payload_length);
+      LoadU32(wire.data() + kFrameHeaderBytes + payload_length);
   const uint32_t computed = FrameChecksum(raw_type, payload);
   if (stored != computed) {
     return Status::ParseError("frame checksum mismatch: stored " +
@@ -182,9 +169,9 @@ Result<std::optional<Frame>> ReadFrameOrEof(int fd,
   CORROB_ASSIGN_OR_RETURN(
       bool got_header, ReadExactOrEof(fd, header, sizeof(header), stop));
   if (!got_header) return std::optional<Frame>();
-  const uint32_t magic = GetU32(header);
+  const uint32_t magic = LoadU32(header);
   const uint8_t raw_type = static_cast<uint8_t>(header[4]);
-  const uint32_t payload_length = GetU32(header + 5);
+  const uint32_t payload_length = LoadU32(header + 5);
   CORROB_RETURN_NOT_OK(CheckHeader(magic, raw_type, payload_length));
   Frame frame;
   frame.type = static_cast<FrameType>(raw_type);
@@ -208,7 +195,7 @@ Result<std::optional<Frame>> ReadFrameOrEof(int fd,
   }
   char trailer[kFrameTrailerBytes];
   CORROB_RETURN_NOT_OK(read_rest(trailer, sizeof(trailer)));
-  const uint32_t stored = GetU32(trailer);
+  const uint32_t stored = LoadU32(trailer);
   const uint32_t computed = FrameChecksum(raw_type, frame.payload);
   if (stored != computed) {
     return Status::ParseError("frame checksum mismatch: stored " +

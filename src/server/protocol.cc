@@ -1,9 +1,8 @@
 #include "server/protocol.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 
+#include "common/bytes.h"
 #include "common/string_util.h"
 
 namespace corrob {
@@ -11,170 +10,53 @@ namespace server {
 
 namespace {
 
-// ---------------------------------------------------------------
-// Little-endian payload writer/reader with bounds-checked reads.
-// ---------------------------------------------------------------
-
-void PutU8(std::string* out, uint8_t value) {
-  out->push_back(static_cast<char>(value));
-}
-
-void PutU32(std::string* out, uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out->push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
-}
-
-void PutU64(std::string* out, uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<char>((value >> shift) & 0xFF));
-  }
-}
-
-void PutF64(std::string* out, double value) {
-  const uint64_t bits = std::bit_cast<uint64_t>(value);
-  for (int shift = 0; shift < 64; shift += 8) {
-    out->push_back(static_cast<char>((bits >> shift) & 0xFF));
-  }
-}
-
-void PutString(std::string* out, std::string_view text) {
-  PutU32(out, static_cast<uint32_t>(text.size()));
-  out->append(text);
-}
-
-void PutOptions(std::string* out, const OptionList& options) {
-  // Encode in canonical (sorted) order regardless of the order the
-  // caller assembled the list in: permuted but semantically identical
-  // option maps must be byte-identical on the wire.
+/// Options in canonical (sorted) order regardless of the order the
+/// caller assembled the list in: permuted but semantically identical
+/// option maps must be byte-identical on the wire.
+void PutOptions(ByteWriter& writer, const OptionList& options) {
   OptionList sorted = options;
   std::sort(sorted.begin(), sorted.end());
-  PutU32(out, static_cast<uint32_t>(sorted.size()));
+  writer.U32(static_cast<uint32_t>(sorted.size()));
   for (const auto& [key, value] : sorted) {
-    PutString(out, key);
-    PutString(out, value);
+    writer.Str(key);
+    writer.Str(value);
   }
 }
 
-class PayloadReader {
- public:
-  explicit PayloadReader(std::string_view payload) : rest_(payload) {}
-
-  [[nodiscard]] Status ReadU8(uint8_t* out) {
-    CORROB_RETURN_NOT_OK(Need(1, "u8"));
-    *out = static_cast<uint8_t>(rest_[0]);
-    rest_.remove_prefix(1);
-    return Status::OK();
+/// A u32-counted f64 array, bounds-checked once up front.
+void ReadF64Vector(ByteReader& reader, std::vector<double>* out) {
+  const uint32_t count = reader.Count(8);
+  const std::string_view bytes = reader.Raw(size_t{count} * 8, "f64 array");
+  out->resize(count);
+  for (size_t i = 0; i < count; ++i) {
+    (*out)[i] = LoadF64(bytes.data() + 8 * i);
   }
+}
 
-  [[nodiscard]] Status ReadU32(uint32_t* out) {
-    CORROB_RETURN_NOT_OK(Need(4, "u32"));
-    uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      value |= static_cast<uint32_t>(static_cast<uint8_t>(rest_[i]))
-               << (8 * i);
-    }
-    rest_.remove_prefix(4);
-    *out = value;
-    return Status::OK();
+[[nodiscard]] Status ReadOptions(ByteReader& reader, OptionList* out) {
+  // Each entry needs at least its two length prefixes.
+  const uint32_t count = reader.Count(8);
+  out->clear();
+  out->reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    std::string key(reader.Str());
+    std::string value(reader.Str());
+    out->emplace_back(std::move(key), std::move(value));
   }
-
-  [[nodiscard]] Status ReadU64(uint64_t* out) {
-    CORROB_RETURN_NOT_OK(Need(8, "u64"));
-    uint64_t value = 0;
-    for (int i = 0; i < 8; ++i) {
-      value |= static_cast<uint64_t>(static_cast<uint8_t>(rest_[i]))
-               << (8 * i);
-    }
-    rest_.remove_prefix(8);
-    *out = value;
-    return Status::OK();
-  }
-
-  [[nodiscard]] Status ReadF64(double* out) {
-    CORROB_RETURN_NOT_OK(Need(8, "f64"));
-    uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<uint64_t>(static_cast<uint8_t>(rest_[i]))
-              << (8 * i);
-    }
-    rest_.remove_prefix(8);
-    *out = std::bit_cast<double>(bits);
-    return Status::OK();
-  }
-
-  [[nodiscard]] Status ReadString(std::string* out) {
-    uint32_t length = 0;
-    CORROB_RETURN_NOT_OK(ReadU32(&length));
-    CORROB_RETURN_NOT_OK(Need(length, "string body"));
-    out->assign(rest_.substr(0, length));
-    rest_.remove_prefix(length);
-    return Status::OK();
-  }
-
-  [[nodiscard]] Status ReadF64Vector(std::vector<double>* out) {
-    uint32_t count = 0;
-    CORROB_RETURN_NOT_OK(ReadU32(&count));
-    CORROB_RETURN_NOT_OK(Need(static_cast<size_t>(count) * 8, "f64 array"));
-    out->resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      CORROB_RETURN_NOT_OK(ReadF64(&(*out)[i]));
-    }
-    return Status::OK();
-  }
-
-  [[nodiscard]] Status ReadOptions(OptionList* out) {
-    uint32_t count = 0;
-    CORROB_RETURN_NOT_OK(ReadU32(&count));
-    // Each entry needs at least its two length prefixes.
-    CORROB_RETURN_NOT_OK(Need(static_cast<size_t>(count) * 8, "options"));
-    out->clear();
-    out->reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      std::string key;
-      std::string value;
-      CORROB_RETURN_NOT_OK(ReadString(&key));
-      CORROB_RETURN_NOT_OK(ReadString(&value));
-      out->emplace_back(std::move(key), std::move(value));
-    }
-    // Canonicalize here too: a hand-rolled client that encoded in a
-    // different order still produces one cache key server-side.
-    return NormalizeOptions(out);
-  }
-
-  /// Every decoder's final check: trailing bytes mean a version skew
-  /// or a corrupted payload, both worth rejecting loudly.
-  [[nodiscard]] Status ExpectEnd() const {
-    if (!rest_.empty()) {
-      return Status::ParseError("payload has " +
-                                std::to_string(rest_.size()) +
-                                " trailing bytes");
-    }
-    return Status::OK();
-  }
-
- private:
-  [[nodiscard]] Status Need(size_t bytes, const char* what) const {
-    if (rest_.size() < bytes) {
-      return Status::ParseError("payload truncated reading " +
-                                std::string(what) + ": need " +
-                                std::to_string(bytes) + " bytes, have " +
-                                std::to_string(rest_.size()));
-    }
-    return Status::OK();
-  }
-
-  std::string_view rest_;
-};
+  CORROB_RETURN_NOT_OK(reader.status());
+  // Canonicalize here too: a hand-rolled client that encoded in a
+  // different order still produces one cache key server-side.
+  return NormalizeOptions(out);
+}
 
 /// Reads the payload version byte and rejects anything outside the
 /// supported window. Most payloads accept [1, current]; v2-only
 /// payloads pass 2 as the floor.
-[[nodiscard]] Result<uint8_t> ReadVersionInRange(PayloadReader& reader,
+[[nodiscard]] Result<uint8_t> ReadVersionInRange(ByteReader& reader,
                                                  uint8_t min_version,
                                                  uint8_t max_version) {
-  uint8_t version = 0;
-  CORROB_RETURN_NOT_OK(reader.ReadU8(&version));
+  const uint8_t version = reader.U8();
+  CORROB_RETURN_NOT_OK(reader.status());
   if (version < min_version || version > max_version) {
     return Status::FailedPrecondition(
         "payload codec version " + std::to_string(version) +
@@ -182,6 +64,17 @@ class PayloadReader {
         ", " + std::to_string(max_version) + "]");
   }
   return version;
+}
+
+/// Reads a priority byte; InvalidArgument for an unknown class.
+[[nodiscard]] Result<Priority> ReadPriority(ByteReader& reader) {
+  const uint8_t priority = reader.U8();
+  CORROB_RETURN_NOT_OK(reader.status());
+  if (priority >= kNumPriorities) {
+    return Status::InvalidArgument("unknown priority class " +
+                                   std::to_string(priority));
+  }
+  return static_cast<Priority>(priority);
 }
 
 }  // namespace
@@ -229,49 +122,44 @@ std::string EncodeCorroborateRequest(const CorroborateRequest& request) {
 std::string EncodeCorroborateRequest(const CorroborateRequest& request,
                                      uint8_t version) {
   std::string out;
-  PutU8(&out, version);
-  PutU8(&out, static_cast<uint8_t>(request.priority));
-  PutU32(&out, request.timeout_ms);
-  PutU32(&out, request.max_rounds);
-  PutString(&out, request.dataset);
-  PutString(&out, request.algorithm);
+  ByteWriter writer(&out);
+  writer.U8(version);
+  writer.U8(static_cast<uint8_t>(request.priority));
+  writer.U32(request.timeout_ms);
+  writer.U32(request.max_rounds);
+  writer.Str(request.dataset);
+  writer.Str(request.algorithm);
   if (version >= 2) {
-    PutString(&out, request.tenant);
-    PutOptions(&out, request.options);
+    writer.Str(request.tenant);
+    PutOptions(writer, request.options);
   }
   if (version >= 3) {
-    PutString(&out, request.request_id);
+    writer.Str(request.request_id);
   }
   return out;
 }
 
 Result<CorroborateRequest> DecodeCorroborateRequest(
     std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload);
   CORROB_ASSIGN_OR_RETURN(
       uint8_t version,
       ReadVersionInRange(reader, kMinCorroborateRequestVersion,
                          kProtocolVersion));
   CorroborateRequest request;
-  uint8_t priority = 0;
-  CORROB_RETURN_NOT_OK(reader.ReadU8(&priority));
-  if (priority >= kNumPriorities) {
-    return Status::InvalidArgument("unknown priority class " +
-                                   std::to_string(priority));
-  }
-  request.priority = static_cast<Priority>(priority);
-  CORROB_RETURN_NOT_OK(reader.ReadU32(&request.timeout_ms));
-  CORROB_RETURN_NOT_OK(reader.ReadU32(&request.max_rounds));
-  CORROB_RETURN_NOT_OK(reader.ReadString(&request.dataset));
-  CORROB_RETURN_NOT_OK(reader.ReadString(&request.algorithm));
+  CORROB_ASSIGN_OR_RETURN(request.priority, ReadPriority(reader));
+  request.timeout_ms = reader.U32();
+  request.max_rounds = reader.U32();
+  request.dataset = reader.Str();
+  request.algorithm = reader.Str();
   if (version >= 2) {
-    CORROB_RETURN_NOT_OK(reader.ReadString(&request.tenant));
-    CORROB_RETURN_NOT_OK(reader.ReadOptions(&request.options));
+    request.tenant = reader.Str();
+    CORROB_RETURN_NOT_OK(ReadOptions(reader, &request.options));
   }
   if (version >= 3) {
-    CORROB_RETURN_NOT_OK(reader.ReadString(&request.request_id));
+    request.request_id = reader.Str();
   }
-  CORROB_RETURN_NOT_OK(reader.ExpectEnd());
+  CORROB_RETURN_NOT_OK(reader.Finish());
   return request;
 }
 
@@ -280,151 +168,150 @@ std::string EncodeCorroborateResponse(
   std::string out;
   out.reserve(32 + 8 * (response.fact_probability.size() +
                         response.source_trust.size()));
+  ByteWriter writer(&out);
   // The response payload is deliberately still version 1: it carries
   // no v2 field and staying put keeps cached/coalesced/batch replies
   // byte-identical to any response a v1 peer recorded.
-  PutU8(&out, 1);
-  PutString(&out, response.algorithm);
-  PutU8(&out, response.termination);
-  PutU32(&out, response.iterations);
-  PutU32(&out, static_cast<uint32_t>(response.fact_probability.size()));
-  for (const double p : response.fact_probability) PutF64(&out, p);
-  PutU32(&out, static_cast<uint32_t>(response.source_trust.size()));
-  for (const double t : response.source_trust) PutF64(&out, t);
+  writer.U8(1);
+  writer.Str(response.algorithm);
+  writer.U8(response.termination);
+  writer.U32(response.iterations);
+  writer.U32(static_cast<uint32_t>(response.fact_probability.size()));
+  for (const double p : response.fact_probability) writer.F64(p);
+  writer.U32(static_cast<uint32_t>(response.source_trust.size()));
+  for (const double t : response.source_trust) writer.F64(t);
   return out;
 }
 
 Result<CorroborateResponse> DecodeCorroborateResponse(
     std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload);
   CORROB_ASSIGN_OR_RETURN(
       uint8_t version, ReadVersionInRange(reader, 1, kProtocolVersion));
   CorroborateResponse response;
-  CORROB_RETURN_NOT_OK(reader.ReadString(&response.algorithm));
-  CORROB_RETURN_NOT_OK(reader.ReadU8(&response.termination));
-  CORROB_RETURN_NOT_OK(reader.ReadU32(&response.iterations));
-  CORROB_RETURN_NOT_OK(reader.ReadF64Vector(&response.fact_probability));
-  CORROB_RETURN_NOT_OK(reader.ReadF64Vector(&response.source_trust));
+  response.algorithm = reader.Str();
+  response.termination = reader.U8();
+  response.iterations = reader.U32();
+  ReadF64Vector(reader, &response.fact_probability);
+  ReadF64Vector(reader, &response.source_trust);
   if (version >= 3) {
-    CORROB_RETURN_NOT_OK(reader.ReadString(&response.request_id));
+    response.request_id = reader.Str();
   }
-  CORROB_RETURN_NOT_OK(reader.ExpectEnd());
+  CORROB_RETURN_NOT_OK(reader.Finish());
   return response;
 }
 
 std::string EncodeErrorResponse(const ErrorResponse& response) {
   std::string out;
-  PutU8(&out, 1);
-  PutU8(&out, response.code);
-  PutString(&out, response.message);
+  ByteWriter writer(&out);
+  writer.U8(1);
+  writer.U8(response.code);
+  writer.Str(response.message);
   return out;
 }
 
 Result<ErrorResponse> DecodeErrorResponse(std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload);
   CORROB_ASSIGN_OR_RETURN(
       uint8_t version, ReadVersionInRange(reader, 1, kProtocolVersion));
   ErrorResponse response;
-  CORROB_RETURN_NOT_OK(reader.ReadU8(&response.code));
-  CORROB_RETURN_NOT_OK(reader.ReadString(&response.message));
+  response.code = reader.U8();
+  response.message = reader.Str();
   if (version >= 3) {
-    CORROB_RETURN_NOT_OK(reader.ReadString(&response.request_id));
+    response.request_id = reader.Str();
   }
-  CORROB_RETURN_NOT_OK(reader.ExpectEnd());
+  CORROB_RETURN_NOT_OK(reader.Finish());
   return response;
 }
 
 std::string EncodeOverloadedResponse(const OverloadedResponse& response) {
   std::string out;
-  PutU8(&out, 1);
-  PutU32(&out, response.retry_after_ms);
-  PutU32(&out, response.queue_depth);
-  PutString(&out, response.message);
+  ByteWriter writer(&out);
+  writer.U8(1);
+  writer.U32(response.retry_after_ms);
+  writer.U32(response.queue_depth);
+  writer.Str(response.message);
   return out;
 }
 
 Result<OverloadedResponse> DecodeOverloadedResponse(
     std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload);
   CORROB_ASSIGN_OR_RETURN(
       uint8_t version, ReadVersionInRange(reader, 1, kProtocolVersion));
   OverloadedResponse response;
-  CORROB_RETURN_NOT_OK(reader.ReadU32(&response.retry_after_ms));
-  CORROB_RETURN_NOT_OK(reader.ReadU32(&response.queue_depth));
-  CORROB_RETURN_NOT_OK(reader.ReadString(&response.message));
+  response.retry_after_ms = reader.U32();
+  response.queue_depth = reader.U32();
+  response.message = reader.Str();
   if (version >= 3) {
-    CORROB_RETURN_NOT_OK(reader.ReadString(&response.request_id));
+    response.request_id = reader.Str();
   }
-  CORROB_RETURN_NOT_OK(reader.ExpectEnd());
+  CORROB_RETURN_NOT_OK(reader.Finish());
   return response;
 }
 
 std::string EncodeQuotaExceededResponse(
     const QuotaExceededResponse& response) {
   std::string out;
+  ByteWriter writer(&out);
   // Pinned at version 2: version 3 means "plus a trailing request id",
   // which only AttachRequestId produces.
-  PutU8(&out, 2);
-  PutU32(&out, response.retry_after_ms);
-  PutString(&out, response.tenant);
-  PutString(&out, response.message);
+  writer.U8(2);
+  writer.U32(response.retry_after_ms);
+  writer.Str(response.tenant);
+  writer.Str(response.message);
   return out;
 }
 
 Result<QuotaExceededResponse> DecodeQuotaExceededResponse(
     std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload);
   CORROB_ASSIGN_OR_RETURN(
       uint8_t version, ReadVersionInRange(reader, 2, kProtocolVersion));
   QuotaExceededResponse response;
-  CORROB_RETURN_NOT_OK(reader.ReadU32(&response.retry_after_ms));
-  CORROB_RETURN_NOT_OK(reader.ReadString(&response.tenant));
-  CORROB_RETURN_NOT_OK(reader.ReadString(&response.message));
+  response.retry_after_ms = reader.U32();
+  response.tenant = reader.Str();
+  response.message = reader.Str();
   if (version >= 3) {
-    CORROB_RETURN_NOT_OK(reader.ReadString(&response.request_id));
+    response.request_id = reader.Str();
   }
-  CORROB_RETURN_NOT_OK(reader.ExpectEnd());
+  CORROB_RETURN_NOT_OK(reader.Finish());
   return response;
 }
 
 void AttachRequestId(std::string* payload, const std::string& request_id) {
   if (request_id.empty() || payload->empty()) return;
   (*payload)[0] = static_cast<char>(kProtocolVersion);
-  PutString(payload, request_id);
+  ByteWriter(payload).Str(request_id);
 }
 
 std::string EncodeBatchRequest(const BatchRequest& request) {
   std::string out;
+  ByteWriter writer(&out);
   // Batch payloads carry no v3 field; pinned at 2 (see version history).
-  PutU8(&out, 2);
-  PutU8(&out, static_cast<uint8_t>(request.priority));
-  PutString(&out, request.tenant);
-  PutU32(&out, static_cast<uint32_t>(request.items.size()));
+  writer.U8(2);
+  writer.U8(static_cast<uint8_t>(request.priority));
+  writer.Str(request.tenant);
+  writer.U32(static_cast<uint32_t>(request.items.size()));
   for (const BatchItem& item : request.items) {
-    PutU32(&out, item.timeout_ms);
-    PutU32(&out, item.max_rounds);
-    PutString(&out, item.dataset);
-    PutString(&out, item.algorithm);
-    PutOptions(&out, item.options);
+    writer.U32(item.timeout_ms);
+    writer.U32(item.max_rounds);
+    writer.Str(item.dataset);
+    writer.Str(item.algorithm);
+    PutOptions(writer, item.options);
   }
   return out;
 }
 
 Result<BatchRequest> DecodeBatchRequest(std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload);
   CORROB_RETURN_NOT_OK(
       ReadVersionInRange(reader, 2, kProtocolVersion).status());
   BatchRequest request;
-  uint8_t priority = 0;
-  CORROB_RETURN_NOT_OK(reader.ReadU8(&priority));
-  if (priority >= kNumPriorities) {
-    return Status::InvalidArgument("unknown priority class " +
-                                   std::to_string(priority));
-  }
-  request.priority = static_cast<Priority>(priority);
-  CORROB_RETURN_NOT_OK(reader.ReadString(&request.tenant));
-  uint32_t count = 0;
-  CORROB_RETURN_NOT_OK(reader.ReadU32(&count));
+  CORROB_ASSIGN_OR_RETURN(request.priority, ReadPriority(reader));
+  request.tenant = reader.Str();
+  const uint32_t count = reader.U32();
+  CORROB_RETURN_NOT_OK(reader.status());
   if (count == 0) {
     return Status::InvalidArgument("batch request has no items");
   }
@@ -436,35 +323,36 @@ Result<BatchRequest> DecodeBatchRequest(std::string_view payload) {
   request.items.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     BatchItem item;
-    CORROB_RETURN_NOT_OK(reader.ReadU32(&item.timeout_ms));
-    CORROB_RETURN_NOT_OK(reader.ReadU32(&item.max_rounds));
-    CORROB_RETURN_NOT_OK(reader.ReadString(&item.dataset));
-    CORROB_RETURN_NOT_OK(reader.ReadString(&item.algorithm));
-    CORROB_RETURN_NOT_OK(reader.ReadOptions(&item.options));
+    item.timeout_ms = reader.U32();
+    item.max_rounds = reader.U32();
+    item.dataset = reader.Str();
+    item.algorithm = reader.Str();
+    CORROB_RETURN_NOT_OK(ReadOptions(reader, &item.options));
     request.items.push_back(std::move(item));
   }
-  CORROB_RETURN_NOT_OK(reader.ExpectEnd());
+  CORROB_RETURN_NOT_OK(reader.Finish());
   return request;
 }
 
 std::string EncodeBatchResponse(const BatchResponse& response) {
   std::string out;
-  PutU8(&out, 2);
-  PutU32(&out, static_cast<uint32_t>(response.items.size()));
+  ByteWriter writer(&out);
+  writer.U8(2);
+  writer.U32(static_cast<uint32_t>(response.items.size()));
   for (const BatchItemResponse& item : response.items) {
-    PutU8(&out, item.type);
-    PutString(&out, item.payload);
+    writer.U8(item.type);
+    writer.Str(item.payload);
   }
   return out;
 }
 
 Result<BatchResponse> DecodeBatchResponse(std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload);
   CORROB_RETURN_NOT_OK(
       ReadVersionInRange(reader, 2, kProtocolVersion).status());
   BatchResponse response;
-  uint32_t count = 0;
-  CORROB_RETURN_NOT_OK(reader.ReadU32(&count));
+  const uint32_t count = reader.U32();
+  CORROB_RETURN_NOT_OK(reader.status());
   if (count > kMaxBatchItems) {
     return Status::InvalidArgument(
         "batch response has " + std::to_string(count) +
@@ -473,76 +361,79 @@ Result<BatchResponse> DecodeBatchResponse(std::string_view payload) {
   response.items.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     BatchItemResponse item;
-    CORROB_RETURN_NOT_OK(reader.ReadU8(&item.type));
-    CORROB_RETURN_NOT_OK(reader.ReadString(&item.payload));
+    item.type = reader.U8();
+    item.payload = reader.Str();
     response.items.push_back(std::move(item));
   }
-  CORROB_RETURN_NOT_OK(reader.ExpectEnd());
+  CORROB_RETURN_NOT_OK(reader.Finish());
   return response;
 }
 
 std::string EncodeReloadRequest(const ReloadRequest& request) {
   std::string out;
+  ByteWriter writer(&out);
   // Reload payloads carry no v3 field; pinned at 2 (see version history).
-  PutU8(&out, 2);
-  PutString(&out, request.dataset);
+  writer.U8(2);
+  writer.Str(request.dataset);
   return out;
 }
 
 Result<ReloadRequest> DecodeReloadRequest(std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload);
   CORROB_RETURN_NOT_OK(
       ReadVersionInRange(reader, 2, kProtocolVersion).status());
   ReloadRequest request;
-  CORROB_RETURN_NOT_OK(reader.ReadString(&request.dataset));
-  CORROB_RETURN_NOT_OK(reader.ExpectEnd());
+  request.dataset = reader.Str();
+  CORROB_RETURN_NOT_OK(reader.Finish());
   return request;
 }
 
 std::string EncodeReloadResponse(const ReloadResponse& response) {
   std::string out;
-  PutU8(&out, 2);
-  PutU32(&out, response.datasets_reloaded);
-  PutU64(&out, response.generation);
+  ByteWriter writer(&out);
+  writer.U8(2);
+  writer.U32(response.datasets_reloaded);
+  writer.U64(response.generation);
   return out;
 }
 
 Result<ReloadResponse> DecodeReloadResponse(std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload);
   CORROB_RETURN_NOT_OK(
       ReadVersionInRange(reader, 2, kProtocolVersion).status());
   ReloadResponse response;
-  CORROB_RETURN_NOT_OK(reader.ReadU32(&response.datasets_reloaded));
-  CORROB_RETURN_NOT_OK(reader.ReadU64(&response.generation));
-  CORROB_RETURN_NOT_OK(reader.ExpectEnd());
+  response.datasets_reloaded = reader.U32();
+  response.generation = reader.U64();
+  CORROB_RETURN_NOT_OK(reader.Finish());
   return response;
 }
 
 std::string EncodeApplyDeltaRequest(const ApplyDeltaRequest& request) {
   std::string out;
-  PutU8(&out, kApplyDeltaVersion);
-  PutString(&out, request.dataset);
-  PutU32(&out, static_cast<uint32_t>(request.deltas.size()));
+  ByteWriter writer(&out);
+  writer.U8(kApplyDeltaVersion);
+  writer.Str(request.dataset);
+  writer.U32(static_cast<uint32_t>(request.deltas.size()));
   for (const WalRecord& record : request.deltas) {
-    PutU8(&out, static_cast<uint8_t>(record.type));
-    PutString(&out, record.source);
-    PutString(&out, record.fact);
+    writer.U8(static_cast<uint8_t>(record.type));
+    writer.Str(record.source);
+    writer.Str(record.fact);
     // The vote byte travels for every record type so the layout stays
     // fixed-shape; it is only meaningful for add-vote.
-    PutU8(&out, static_cast<uint8_t>(VoteToChar(record.vote)));
+    writer.U8(static_cast<uint8_t>(VoteToChar(record.vote)));
   }
   return out;
 }
 
 Result<ApplyDeltaRequest> DecodeApplyDeltaRequest(std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload);
   CORROB_RETURN_NOT_OK(
       ReadVersionInRange(reader, kApplyDeltaVersion, kApplyDeltaVersion)
           .status());
   ApplyDeltaRequest request;
-  CORROB_RETURN_NOT_OK(reader.ReadString(&request.dataset));
-  uint32_t count = 0;
-  CORROB_RETURN_NOT_OK(reader.ReadU32(&count));
+  request.dataset = reader.Str();
+  const uint32_t count = reader.U32();
+  CORROB_RETURN_NOT_OK(reader.status());
   if (count == 0) {
     return Status::InvalidArgument("apply-delta request has no deltas");
   }
@@ -554,12 +445,11 @@ Result<ApplyDeltaRequest> DecodeApplyDeltaRequest(std::string_view payload) {
   request.deltas.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     WalRecord record;
-    uint8_t type = 0;
-    uint8_t vote_char = 0;
-    CORROB_RETURN_NOT_OK(reader.ReadU8(&type));
-    CORROB_RETURN_NOT_OK(reader.ReadString(&record.source));
-    CORROB_RETURN_NOT_OK(reader.ReadString(&record.fact));
-    CORROB_RETURN_NOT_OK(reader.ReadU8(&vote_char));
+    const uint8_t type = reader.U8();
+    record.source = reader.Str();
+    record.fact = reader.Str();
+    const uint8_t vote_char = reader.U8();
+    CORROB_RETURN_NOT_OK(reader.status());
     switch (static_cast<WalRecordType>(type)) {
       case WalRecordType::kAddSource:
       case WalRecordType::kAddVote:
@@ -586,48 +476,50 @@ Result<ApplyDeltaRequest> DecodeApplyDeltaRequest(std::string_view payload) {
     }
     request.deltas.push_back(std::move(record));
   }
-  CORROB_RETURN_NOT_OK(reader.ExpectEnd());
+  CORROB_RETURN_NOT_OK(reader.Finish());
   return request;
 }
 
 std::string EncodeApplyDeltaResponse(const ApplyDeltaResponse& response) {
   std::string out;
-  PutU8(&out, kApplyDeltaVersion);
-  PutU32(&out, response.applied);
-  PutU64(&out, response.generation);
+  ByteWriter writer(&out);
+  writer.U8(kApplyDeltaVersion);
+  writer.U32(response.applied);
+  writer.U64(response.generation);
   return out;
 }
 
 Result<ApplyDeltaResponse> DecodeApplyDeltaResponse(
     std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload);
   CORROB_RETURN_NOT_OK(
       ReadVersionInRange(reader, kApplyDeltaVersion, kApplyDeltaVersion)
           .status());
   ApplyDeltaResponse response;
-  CORROB_RETURN_NOT_OK(reader.ReadU32(&response.applied));
-  CORROB_RETURN_NOT_OK(reader.ReadU64(&response.generation));
-  CORROB_RETURN_NOT_OK(reader.ExpectEnd());
+  response.applied = reader.U32();
+  response.generation = reader.U64();
+  CORROB_RETURN_NOT_OK(reader.Finish());
   return response;
 }
 
 std::string EncodeIntrospectRequest(const IntrospectRequest& request) {
   std::string out;
-  PutU8(&out, kProtocolVersion);
-  PutU32(&out, request.top_k);
-  PutU32(&out, request.max_recent);
+  ByteWriter writer(&out);
+  writer.U8(kProtocolVersion);
+  writer.U32(request.top_k);
+  writer.U32(request.max_recent);
   return out;
 }
 
 Result<IntrospectRequest> DecodeIntrospectRequest(
     std::string_view payload) {
-  PayloadReader reader(payload);
+  ByteReader reader(payload);
   CORROB_RETURN_NOT_OK(
       ReadVersionInRange(reader, 3, kProtocolVersion).status());
   IntrospectRequest request;
-  CORROB_RETURN_NOT_OK(reader.ReadU32(&request.top_k));
-  CORROB_RETURN_NOT_OK(reader.ReadU32(&request.max_recent));
-  CORROB_RETURN_NOT_OK(reader.ExpectEnd());
+  request.top_k = reader.U32();
+  request.max_recent = reader.U32();
+  CORROB_RETURN_NOT_OK(reader.Finish());
   return request;
 }
 

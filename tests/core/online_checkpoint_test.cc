@@ -1,11 +1,11 @@
 #include "core/online_checkpoint.h"
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/csv.h"
 #include "common/failpoint.h"
@@ -167,26 +167,6 @@ TEST(OnlineCheckpointTest, TelemetryCountersSurviveRoundTrip) {
   EXPECT_EQ(restored.deferrals(), online.deferrals());
 }
 
-// Serialization helpers mirroring the v1 on-disk layout, so the
-// back-compat test can fabricate a genuine v-old snapshot.
-void AppendU32(std::string* out, uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
-  }
-}
-
-void AppendF64(std::string* out, double value) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  AppendU64(out, bits);
-}
-
 TEST(OnlineCheckpointTest, ParsesV1SnapshotsWithZeroedCounters) {
   // A v1 snapshot (pre-telemetry format: no counter section) must
   // still load; the counters start over at zero but the trust state
@@ -195,23 +175,23 @@ TEST(OnlineCheckpointTest, ParsesV1SnapshotsWithZeroedCounters) {
   OnlineCorroboratorState state = online.ExportState();
 
   std::string payload;
-  AppendF64(&payload, state.options.initial_trust);
-  AppendF64(&payload, state.options.trust_prior_weight);
-  AppendF64(&payload, state.options.tie_margin);
-  AppendU64(&payload, static_cast<uint64_t>(state.facts_observed));
-  AppendU32(&payload, static_cast<uint32_t>(state.source_names.size()));
+  ByteWriter body(&payload);
+  body.F64(state.options.initial_trust);
+  body.F64(state.options.trust_prior_weight);
+  body.F64(state.options.tie_margin);
+  body.U64(static_cast<uint64_t>(state.facts_observed));
+  body.U32(static_cast<uint32_t>(state.source_names.size()));
   for (size_t s = 0; s < state.source_names.size(); ++s) {
-    AppendU32(&payload,
-              static_cast<uint32_t>(state.source_names[s].size()));
-    payload += state.source_names[s];
-    AppendF64(&payload, state.correct[s]);
-    AppendF64(&payload, state.total[s]);
+    body.Str(state.source_names[s]);
+    body.F64(state.correct[s]);
+    body.F64(state.total[s]);
   }
   std::string snapshot = "CORROBSN";
-  AppendU32(&snapshot, 1);  // kOnlineSnapshotMinVersion
-  AppendU64(&snapshot, payload.size());
-  snapshot += payload;
-  AppendU32(&snapshot, ComputeCrc32(payload));
+  ByteWriter writer(&snapshot);
+  writer.U32(1);  // kOnlineSnapshotMinVersion
+  writer.U64(payload.size());
+  writer.Raw(payload);
+  writer.U32(ComputeCrc32(payload));
 
   auto restored = ParseOnlineSnapshot(snapshot).ValueOrDie();
   OnlineCorroboratorState rs = restored.ExportState();
@@ -222,6 +202,31 @@ TEST(OnlineCheckpointTest, ParsesV1SnapshotsWithZeroedCounters) {
   EXPECT_EQ(restored.decisions_false(), 0);
   EXPECT_EQ(restored.deferrals(), 0);
   EXPECT_EQ(restored.trust_snapshot(), online.trust_snapshot());
+}
+
+TEST(OnlineCheckpointTest, RejectsSourceCountLargerThanPayload) {
+  // A CRC-valid 60-byte snapshot whose source count claims 2^32 - 1
+  // entries with no bytes behind it. Each entry needs at least 20
+  // bytes, so the count is rejected before anything is reserved.
+  std::string payload;
+  ByteWriter body(&payload);
+  body.F64(0.0);  // initial_trust
+  body.F64(0.0);  // trust_prior_weight
+  body.F64(0.0);  // tie_margin
+  body.U64(0);    // facts_observed
+  body.U32(0xFFFFFFFFu);  // num_sources
+  std::string snapshot = "CORROBSN";
+  ByteWriter writer(&snapshot);
+  writer.U32(kOnlineSnapshotVersion);
+  writer.U64(payload.size());
+  writer.Raw(payload);
+  writer.U32(ComputeCrc32(payload));
+  ASSERT_EQ(snapshot.size(), 60u);
+
+  auto result = ParseOnlineSnapshot(snapshot);
+  EXPECT_EQ(result.status().code(), StatusCode::kParseError);
+  EXPECT_NE(result.status().message().find("count"), std::string::npos)
+      << result.status().ToString();
 }
 
 TEST(OnlineCheckpointTest, RejectsInconsistentCounters) {

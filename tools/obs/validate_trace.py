@@ -13,8 +13,7 @@ autodetecting each file's kind:
   bench      BenchReport JSON from the bench binaries
              ({"schema": "corrob.bench/1", ...})
   serving    BENCH_serving.json from corrob-loadgen
-             ({"schema": "corrob.serving_bench/1" through
-               "corrob.serving_bench/3", ...})
+             ({"schema": "corrob.serving_bench/3", ...})
   wal_bench  BENCH_wal.json from bench_wal_append
              ({"schema": "corrob.wal_bench/1", ...})
   introspect live-introspection document from corrobd's 0x06 frame
@@ -234,27 +233,21 @@ def validate_serving_bench(doc):
     expect_keys(doc, ["schema", "config", "levels", "totals"],
                 "serving_bench")
     schema = doc.get("schema")
-    expect(schema in ("corrob.serving_bench/1", "corrob.serving_bench/2",
-                      "corrob.serving_bench/3"),
+    expect(schema == "corrob.serving_bench/3",
            f"serving_bench: unknown schema '{schema}'")
-    v3 = schema == "corrob.serving_bench/3"
-    v2 = v3 or schema == "corrob.serving_bench/2"
     config = doc["config"]
-    config_keys = ["socket", "dataset", "algorithm", "priority",
-                   "connections", "duration_ms"]
-    if v2:
-        config_keys += ["unique_keys", "tenants"]
-    expect_keys(config, config_keys, "serving_bench: config")
+    expect_keys(config, ["socket", "dataset", "algorithm", "priority",
+                         "connections", "duration_ms", "unique_keys",
+                         "tenants"], "serving_bench: config")
     expect(config["priority"] in ("interactive", "batch", "best_effort"),
            f"serving_bench: unknown priority '{config.get('priority')}'")
-    if v2:
-        expect(isinstance(config["unique_keys"], int)
-               and config["unique_keys"] >= 0,
-               "serving_bench: config.unique_keys must be a "
-               "non-negative integer")
-        expect(isinstance(config["tenants"], list)
-               and all(isinstance(t, str) for t in config["tenants"]),
-               "serving_bench: config.tenants must be an array of strings")
+    expect(isinstance(config["unique_keys"], int)
+           and config["unique_keys"] >= 0,
+           "serving_bench: config.unique_keys must be a "
+           "non-negative integer")
+    expect(isinstance(config["tenants"], list)
+           and all(isinstance(t, str) for t in config["tenants"]),
+           "serving_bench: config.tenants must be an array of strings")
     levels = doc["levels"]
     expect(isinstance(levels, list) and levels,
            "serving_bench: levels must be a non-empty array")
@@ -263,22 +256,17 @@ def validate_serving_bench(doc):
     for i, level in enumerate(levels):
         where = f"serving_bench: levels[{i}]"
         number_keys = ["offered_qps", "achieved_qps", "shed_rate",
-                       "p50_ms", "p99_ms"]
+                       "p50_ms", "p90_ms", "p99_ms", "p999_ms", "hit_rate",
+                       "cold_p50_ms", "hit_p50_ms", "corr_client_p50_ms",
+                       "corr_server_p50_ms"]
         int_keys = ["requests", "results", "shed", "errors", "aborted",
-                    "dropped"]
-        if v2:
-            number_keys += ["hit_rate", "cold_p50_ms", "hit_p50_ms"]
-            int_keys += ["quota"]
-        if v3:
-            number_keys += ["p90_ms", "p999_ms", "corr_client_p50_ms",
-                            "corr_server_p50_ms"]
-            int_keys += ["corr_count"]
-            # The transport delta is client p50 minus server p50 over
-            # the joined sample set: legitimately negative when the
-            # two independent medians land on different requests.
-            expect_keys(level, ["corr_transport_delta_p50_ms"], where)
-            expect(is_number(level["corr_transport_delta_p50_ms"]),
-                   f"{where}: corr_transport_delta_p50_ms must be a number")
+                    "dropped", "quota", "corr_count"]
+        # The transport delta is client p50 minus server p50 over the
+        # joined sample set: legitimately negative when the two
+        # independent medians land on different requests.
+        expect_keys(level, ["corr_transport_delta_p50_ms"], where)
+        expect(is_number(level["corr_transport_delta_p50_ms"]),
+               f"{where}: corr_transport_delta_p50_ms must be a number")
         expect_keys(level, number_keys + int_keys, where)
         for key in number_keys:
             expect(is_number(level[key]) and level[key] >= 0,
@@ -286,28 +274,23 @@ def validate_serving_bench(doc):
         for key in int_keys:
             expect(isinstance(level[key], int) and level[key] >= 0,
                    f"{where}: {key} must be a non-negative integer")
-        if v3:
-            expect(level["p50_ms"] <= level["p90_ms"] <= level["p99_ms"]
-                   <= level["p999_ms"],
-                   f"{where}: percentiles must be non-decreasing "
-                   "(p50 <= p90 <= p99 <= p999)")
-            expect(level["corr_count"] <= level["results"],
-                   f"{where}: corr_count cannot exceed results")
-        quota = level.get("quota", 0) if v2 else 0
+        expect(level["p50_ms"] <= level["p90_ms"] <= level["p99_ms"]
+               <= level["p999_ms"],
+               f"{where}: percentiles must be non-decreasing "
+               "(p50 <= p90 <= p99 <= p999)")
+        expect(level["corr_count"] <= level["results"],
+               f"{where}: corr_count cannot exceed results")
         accounted = (level["results"] + level["shed"] + level["errors"]
-                     + quota + level["aborted"] + level["dropped"])
+                     + level["quota"] + level["aborted"] + level["dropped"])
         expect(accounted == level["requests"],
                f"{where}: outcome counts sum to {accounted}, "
                f"requests says {level['requests']}")
-        expect(level["p50_ms"] <= level["p99_ms"],
-               f"{where}: p50_ms must not exceed p99_ms")
         expect(0.0 <= level["shed_rate"] <= 1.0,
                f"{where}: shed_rate must be in [0, 1]")
-        if v2:
-            expect(0.0 <= level["hit_rate"] <= 1.0,
-                   f"{where}: hit_rate must be in [0, 1]")
+        expect(0.0 <= level["hit_rate"] <= 1.0,
+               f"{where}: hit_rate must be in [0, 1]")
         counted_responses += (level["results"] + level["shed"]
-                              + level["errors"] + quota)
+                              + level["errors"] + level["quota"])
         counted_dropped += level["dropped"]
     totals = doc["totals"]
     expect_keys(totals, ["responses_received", "dropped"],
@@ -451,8 +434,7 @@ def detect_kind(doc):
         return "wal_bench", validate_wal_bench
     if schema == "corrob.stream_telemetry/1":
         return "stream_telemetry", validate_stream_telemetry
-    if schema in ("corrob.serving_bench/1", "corrob.serving_bench/2",
-                  "corrob.serving_bench/3"):
+    if schema == "corrob.serving_bench/3":
         return "serving_bench", validate_serving_bench
     if schema == "corrob.introspect/1":
         return "introspect", validate_introspect
