@@ -7,6 +7,7 @@
 #include "common/budget.h"
 #include "common/failpoint.h"
 #include "core/bayes_estimate.h"
+#include "core/delta_apply.h"
 #include "core/run_context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -214,6 +215,31 @@ void BM_OnlineObserve(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_OnlineObserve);
+
+// One 16-flip delta batch on a synthetic corpus of Arg facts x 10
+// sources: the corrobd write path's core step. The cost should follow
+// the CSR/CSC bytes copied, not the number of names.
+void BM_ApplyDelta(benchmark::State& state) {
+  const Dataset& base = SharedSynthetic(state.range(0)).dataset;
+  std::vector<WalRecord> batch;
+  const FactId stride = base.num_facts() / 16;
+  for (FactId f = 0; batch.size() < 16; f += stride) {
+    const SourceVote& vote = base.VotesOnFact(f).front();
+    batch.push_back(MakeAddVote(
+        base.source_name(vote.source), base.fact_name(f),
+        vote.vote == Vote::kTrue ? Vote::kFalse : Vote::kTrue));
+  }
+  for (auto _ : state) {
+    Result<Dataset> next = ApplyDeltasToDataset(base, batch);
+    benchmark::DoNotOptimize(next);
+  }
+  state.SetItemsProcessed(state.iterations() * 16);
+}
+BENCHMARK(BM_ApplyDelta)
+    ->Arg(10000)
+    ->Arg(100000)
+    ->Arg(400000)
+    ->Unit(benchmark::kMillisecond);
 
 Status GuardedObserve(OnlineCorroborator& online,
                       const std::vector<SourceVote>& votes) {

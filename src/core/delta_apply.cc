@@ -1,77 +1,80 @@
 #include "core/delta_apply.h"
 
+#include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "data/dataset_io.h"
 
 namespace corrob {
 
+namespace {
+
+/// Resolves one kind of name (sources or facts): the base's own ids
+/// first, then the names this batch registers, numbered on from the
+/// base's count in first-appearance order.
+class BatchNames {
+ public:
+  using BaseFind = Result<int32_t> (Dataset::*)(const std::string&) const;
+
+  BatchNames(const Dataset& base, BaseFind find, int32_t base_count)
+      : base_(base), find_(find), base_count_(base_count) {}
+
+  /// The id of `name`, or -1 when neither the base nor the batch has it.
+  int32_t Find(const std::string& name) const {
+    Result<int32_t> id = (base_.*find_)(name);
+    if (id.ok()) return id.ValueOrDie();
+    const int32_t added = added_.Find(name);
+    return added < 0 ? -1 : base_count_ + added;
+  }
+
+  /// The id of `name`, registering it when unknown.
+  int32_t Add(const std::string& name) {
+    const int32_t known = Find(name);
+    return known >= 0 ? known : base_count_ + added_.Add(name);
+  }
+
+  std::span<const std::string> added() const { return added_.names(); }
+
+ private:
+  const Dataset& base_;
+  BaseFind find_;
+  int32_t base_count_;
+  NameTable added_;
+};
+
+}  // namespace
+
 Result<Dataset> ApplyDeltasToDataset(const Dataset& base,
                                      std::span<const WalRecord> deltas) {
-  DatasetBuilder builder;
-  // Name -> id maps mirroring the builder's assignment; DatasetBuilder
-  // has no name lookup of its own and SetVoteByName would register
-  // names that a retraction must not create.
-  std::unordered_map<std::string, SourceId> sources;
-  std::unordered_map<std::string, FactId> facts;
-  sources.reserve(static_cast<size_t>(base.num_sources()));
-  facts.reserve(static_cast<size_t>(base.num_facts()));
-
-  // Re-register the base in id order so the rebuilt ids match.
-  for (SourceId s = 0; s < base.num_sources(); ++s) {
-    sources.emplace(base.source_name(s), builder.AddSource(base.source_name(s)));
-  }
-  for (FactId f = 0; f < base.num_facts(); ++f) {
-    facts.emplace(base.fact_name(f), builder.AddFact(base.fact_name(f)));
-  }
-  for (SourceId s = 0; s < base.num_sources(); ++s) {
-    for (const FactVote& fact_vote : base.VotesBySource(s)) {
-      CORROB_RETURN_NOT_OK(builder.SetVote(s, fact_vote.fact, fact_vote.vote));
-    }
-  }
-
+  BatchNames sources(base, &Dataset::FindSource, base.num_sources());
+  BatchNames facts(base, &Dataset::FindFact, base.num_facts());
+  std::vector<VoteEdit> writes;  // every vote write, in log order
   for (size_t i = 0; i < deltas.size(); ++i) {
     const WalRecord& record = deltas[i];
     switch (record.type) {
-      case WalRecordType::kAddSource: {
-        sources.emplace(record.source, builder.AddSource(record.source));
+      case WalRecordType::kAddSource:
+        sources.Add(record.source);
         break;
-      }
       case WalRecordType::kAddVote: {
         if (record.vote == Vote::kNone) {
           return Status::InvalidArgument(
               "delta " + std::to_string(i) +
               ": add-vote carries '-'; use retract-vote to erase");
         }
-        SourceId s;
-        auto source_it = sources.find(record.source);
-        if (source_it != sources.end()) {
-          s = source_it->second;
-        } else {
-          s = builder.AddSource(record.source);
-          sources.emplace(record.source, s);
-        }
-        FactId f;
-        auto fact_it = facts.find(record.fact);
-        if (fact_it != facts.end()) {
-          f = fact_it->second;
-        } else {
-          f = builder.AddFact(record.fact);
-          facts.emplace(record.fact, f);
-        }
-        CORROB_RETURN_NOT_OK(builder.SetVote(s, f, record.vote));
+        const SourceId s = sources.Add(record.source);
+        const FactId f = facts.Add(record.fact);
+        writes.push_back(VoteEdit{f, s, record.vote});
         break;
       }
       case WalRecordType::kRetractVote: {
-        auto source_it = sources.find(record.source);
-        auto fact_it = facts.find(record.fact);
-        if (source_it == sources.end() || fact_it == facts.end()) {
+        const SourceId s = sources.Find(record.source);
+        const FactId f = facts.Find(record.fact);
+        if (s < 0 || f < 0) {
           break;  // retracting a vote that never existed is a no-op
         }
-        CORROB_RETURN_NOT_OK(
-            builder.SetVote(source_it->second, fact_it->second, Vote::kNone));
+        writes.push_back(VoteEdit{f, s, Vote::kNone});
         break;
       }
       case WalRecordType::kSnapshotMarker:
@@ -81,7 +84,25 @@ Result<Dataset> ApplyDeltasToDataset(const Dataset& base,
             "them out (WalRecovery::Mutations)");
     }
   }
-  return builder.Build();
+
+  // Last writer wins: the stable sort keeps each pair's writes in log
+  // order, and only the last of each run survives.
+  auto pair_of = [](const VoteEdit& edit) {
+    return std::pair(edit.fact, edit.source);
+  };
+  std::stable_sort(writes.begin(), writes.end(),
+                   [&](const VoteEdit& a, const VoteEdit& b) {
+                     return pair_of(a) < pair_of(b);
+                   });
+  std::vector<VoteEdit> edits;
+  edits.reserve(writes.size());
+  for (size_t i = 0; i < writes.size(); ++i) {
+    if (i + 1 < writes.size() && pair_of(writes[i]) == pair_of(writes[i + 1])) {
+      continue;
+    }
+    edits.push_back(writes[i]);
+  }
+  return base.WithEdits(sources.added(), facts.added(), edits);
 }
 
 Result<Dataset> DatasetFromWalRecovery(const WalRecovery& recovery) {

@@ -11,16 +11,22 @@
 namespace corrob {
 
 /// Applies a sequence of WAL vote deltas to an immutable base dataset,
-/// producing a fresh Dataset.
+/// producing the next generation.
 ///
-/// The rebuild goes through DatasetBuilder re-registering the base's
-/// sources and facts in id order, so ids — and therefore every CSR
-/// array and signature key derived from the result — are
-/// bit-identical to a single batch build that saw the same names in
-/// the same order followed by the same final votes. That is the
-/// metamorphic contract the WAL tests pin: replaying any surviving
-/// prefix of deltas after a crash equals rebuilding from scratch with
-/// that prefix.
+/// The result is bit-identical to a single batch build that saw the
+/// base's names in id order, then the names the deltas register in
+/// first-appearance order, then the same final votes: the same names,
+/// ids, CSR/CSC arrays and vote count (pinned in delta_apply_test
+/// against a full DatasetBuilder replay). That is the metamorphic
+/// contract the WAL tests pin: replaying any surviving prefix of
+/// deltas after a crash equals building from scratch with that prefix.
+///
+/// The cost follows the batch, not the corpus's names: names resolve
+/// through the base's own index, the result shares the base's name
+/// tables unless the batch registers a name, and the vote arrays are
+/// copied with only the touched rows and columns merged
+/// (Dataset::WithEdits). The base is left untouched and stays
+/// readable from other threads throughout.
 ///
 /// Semantics per record type:
 ///   kAddSource      registers the source (no-op when known)

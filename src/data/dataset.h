@@ -2,6 +2,7 @@
 #define CORROB_DATA_DATASET_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -13,10 +14,43 @@
 
 namespace corrob {
 
+/// Names in id order plus the name -> id index. Ids are dense and
+/// assigned in first-registration order.
+class NameTable {
+ public:
+  int32_t size() const { return static_cast<int32_t>(names_.size()); }
+  const std::string& name(int32_t id) const { return names_[id]; }
+  std::span<const std::string> names() const { return names_; }
+
+  /// The id of `name`, or -1 when it is not registered.
+  int32_t Find(const std::string& name) const {
+    auto it = index_.find(name);
+    return it == index_.end() ? -1 : it->second;
+  }
+
+  /// Registers `name` as the next id; returns the existing id if known.
+  int32_t Add(const std::string& name);
+
+ private:
+  std::vector<std::string> names_;
+  std::unordered_map<std::string, int32_t> index_;
+};
+
+/// The vote a (fact, source) pair holds after an edit; kNone erases it.
+struct VoteEdit {
+  FactId fact = -1;
+  SourceId source = -1;
+  Vote vote = Vote::kNone;
+};
+
 /// Immutable sparse source × fact vote matrix — the input to every
 /// corroboration algorithm. Built via DatasetBuilder; provides both
 /// the per-fact view (who voted on f) and the per-source view (what
 /// did s vote on), each sorted by id.
+///
+/// The name tables are immutable and shared: a copy of a Dataset, and
+/// a successor WithEdits() derives without registering a name, point
+/// at the same tables and own only their vote arrays.
 class Dataset {
  public:
   Dataset() = default;
@@ -26,13 +60,15 @@ class Dataset {
   Dataset(Dataset&&) noexcept = default;
   Dataset& operator=(Dataset&&) noexcept = default;
 
-  int32_t num_sources() const { return static_cast<int32_t>(source_names_.size()); }
-  int32_t num_facts() const { return static_cast<int32_t>(fact_names_.size()); }
+  // The tables are null only in a default-constructed or moved-from
+  // Dataset, which has no names.
+  int32_t num_sources() const { return sources_ ? sources_->size() : 0; }
+  int32_t num_facts() const { return facts_ ? facts_->size() : 0; }
   /// Total number of materialized (non '-') votes.
   int64_t num_votes() const { return num_votes_; }
 
-  const std::string& source_name(SourceId s) const { return source_names_[s]; }
-  const std::string& fact_name(FactId f) const { return fact_names_[f]; }
+  const std::string& source_name(SourceId s) const { return sources_->name(s); }
+  const std::string& fact_name(FactId f) const { return facts_->name(f); }
 
   /// Id lookup by name; NotFound if absent.
   [[nodiscard]] Result<SourceId> FindSource(const std::string& name) const;
@@ -65,13 +101,27 @@ class Dataset {
   /// group (paper §5.1).
   std::string SignatureKey(FactId f) const;
 
+  /// The dataset a DatasetBuilder would build from this dataset's
+  /// names, then `new_sources` and `new_facts` registered in order,
+  /// then this dataset's votes overwritten by `edits` — bit for bit,
+  /// without a rebuild. A name table that gains no name is shared with
+  /// this dataset; the CSR/CSC arrays are copied with only the touched
+  /// rows and columns merged, in O(votes + facts + sources + edits ·
+  /// log edits).
+  ///
+  /// `edits` must be sorted by (fact, source), name each pair at most
+  /// once and use ids below the extended counts; `new_sources` and
+  /// `new_facts` must be distinct names unknown to this dataset. An
+  /// edit that matches the current vote changes nothing.
+  Dataset WithEdits(std::span<const std::string> new_sources,
+                    std::span<const std::string> new_facts,
+                    std::span<const VoteEdit> edits) const;
+
  private:
   friend class DatasetBuilder;
 
-  std::vector<std::string> source_names_;
-  std::vector<std::string> fact_names_;
-  std::unordered_map<std::string, SourceId> source_index_;
-  std::unordered_map<std::string, FactId> fact_index_;
+  std::shared_ptr<const NameTable> sources_;
+  std::shared_ptr<const NameTable> facts_;
 
   // CSR layouts for both orientations.
   std::vector<size_t> fact_offsets_;     // size num_facts()+1
@@ -106,17 +156,15 @@ class DatasetBuilder {
   /// Aborts on out-of-range ids.
   Vote GetVote(SourceId s, FactId f) const;
 
-  int32_t num_sources() const { return static_cast<int32_t>(source_names_.size()); }
-  int32_t num_facts() const { return static_cast<int32_t>(fact_names_.size()); }
+  int32_t num_sources() const { return sources_.size(); }
+  int32_t num_facts() const { return facts_.size(); }
 
   /// Freezes into an immutable Dataset. The builder is left empty.
   Dataset Build();
 
  private:
-  std::vector<std::string> source_names_;
-  std::vector<std::string> fact_names_;
-  std::unordered_map<std::string, SourceId> source_index_;
-  std::unordered_map<std::string, FactId> fact_index_;
+  NameTable sources_;
+  NameTable facts_;
   // Per fact: source -> vote map kept small and flat.
   std::vector<std::vector<SourceVote>> votes_per_fact_;
 };

@@ -262,12 +262,16 @@ Status CorrobdServer::ReloadDataset(ServedDataset* served) {
   }
   CORROB_ASSIGN_OR_RETURN(LabeledDataset loaded,
                           LoadDatasetCsv(served->path));
-  auto fresh = std::make_shared<const Dataset>(std::move(loaded.dataset));
+  std::shared_ptr<const Dataset> retired =
+      std::make_shared<const Dataset>(std::move(loaded.dataset));
   {
     std::lock_guard<std::mutex> lock(served->mutex);
-    served->dataset = std::move(fresh);
+    served->dataset.swap(retired);
     served->generation.fetch_add(1, std::memory_order_release);
   }
+  // Free the old generation after the unlock: its destructor must not
+  // run inside the lock every read snapshots under.
+  retired.reset();
   // Old-generation keys can never match again (the generation is in
   // the key); the scan just frees their memory eagerly.
   cache_->InvalidateDataset(served->name);
@@ -1147,11 +1151,11 @@ Status CorrobdServer::HandleApplyDelta(Connection* connection,
       // Validate-and-build before the log sees anything, so a delta
       // batch the core rejects leaves both the WAL and the resident
       // dataset untouched.
-      Result<Dataset> rebuilt =
-          Status::FailedPrecondition("delta rebuild never ran");
+      Result<Dataset> next =
+          Status::FailedPrecondition("delta apply never ran");
       if (applied.ok()) {
-        rebuilt = ApplyDeltasToDataset(*current, request.deltas);
-        if (!rebuilt.ok()) applied = rebuilt.status();
+        next = ApplyDeltasToDataset(*current, request.deltas);
+        if (!next.ok()) applied = next.status();
       }
       if (applied.ok()) {
         // Durability before the ack: the whole batch reaches the log
@@ -1179,12 +1183,18 @@ Status CorrobdServer::HandleApplyDelta(Connection* connection,
       if (!applied.ok()) {
         respond_error(applied);
       } else {
+        std::shared_ptr<const Dataset> retired =
+            std::make_shared<const Dataset>(std::move(next).ValueOrDie());
         {
           std::lock_guard<std::mutex> lock(served->mutex);
-          served->dataset = std::make_shared<const Dataset>(
-              std::move(rebuilt).ValueOrDie());
+          served->dataset.swap(retired);
           served->generation.fetch_add(1, std::memory_order_release);
         }
+        // Free the old generation (held by `retired` and `current`)
+        // after the unlock: its destructor must not run inside the lock
+        // every read snapshots under.
+        retired.reset();
+        current.reset();
         cache_->InvalidateDataset(served->name);
         served->deltas_applied.fetch_add(request.deltas.size(),
                                          std::memory_order_relaxed);

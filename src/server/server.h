@@ -111,7 +111,7 @@ struct ServedDataset {
   std::shared_ptr<const Dataset> dataset CORROB_GUARDED_BY(mutex);
   std::atomic<uint64_t> generation{1};
   /// Serializes mutators (apply-delta requests). Separate from
-  /// `mutex` so a long delta rebuild never blocks readers, which only
+  /// `mutex` so a delta apply never blocks readers, which only
   /// take `mutex` for the shared_ptr snapshot; the swap at the end of
   /// an apply briefly takes both (wal_mutex before mutex, always).
   mutable std::mutex wal_mutex;
@@ -226,7 +226,7 @@ class CorrobdServer {
   /// dataset's WAL as one atomic batch frame (ack only after the
   /// append — and fsync, under the always policy — succeeded; a
   /// NACKed batch never leaves a durable prefix of itself behind),
-  /// then rebuild the resident dataset
+  /// then derive the next resident generation
   /// through core delta-apply, bump the generation and invalidate
   /// cached results. A WAL failure flips the dataset to read-only
   /// serving with a typed kWalUnavailable error; it never takes the

@@ -3,9 +3,13 @@
 #include <dirent.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -22,7 +26,8 @@
 // leans on: replaying any crash-surviving prefix of deltas produces a
 // dataset bit-identical to a batch rebuild from the same votes — and
 // corroborating that dataset gives bit-identical answers at 1 and 4
-// run threads.
+// run threads. The copy-on-write apply is pinned structurally against
+// RebuildReference, a full DatasetBuilder replay of base plus deltas.
 
 namespace corrob {
 namespace {
@@ -57,6 +62,134 @@ std::vector<WalRecord> MakeRandomDeltas(uint64_t seed, int count) {
     }
   }
   return deltas;
+}
+
+/// The full rebuild ApplyDeltasToDataset must match bit for bit: every
+/// base name re-registered in id order, every base vote replayed, then
+/// the deltas, all through one DatasetBuilder.
+Result<Dataset> RebuildReference(const Dataset& base,
+                                 std::span<const WalRecord> deltas) {
+  DatasetBuilder builder;
+  // DatasetBuilder has no name lookup of its own, and SetVoteByName
+  // would register names that a retraction must not create.
+  std::unordered_map<std::string, SourceId> sources;
+  std::unordered_map<std::string, FactId> facts;
+  for (SourceId s = 0; s < base.num_sources(); ++s) {
+    sources.emplace(base.source_name(s), builder.AddSource(base.source_name(s)));
+  }
+  for (FactId f = 0; f < base.num_facts(); ++f) {
+    facts.emplace(base.fact_name(f), builder.AddFact(base.fact_name(f)));
+  }
+  for (SourceId s = 0; s < base.num_sources(); ++s) {
+    for (const FactVote& fact_vote : base.VotesBySource(s)) {
+      CORROB_RETURN_NOT_OK(builder.SetVote(s, fact_vote.fact, fact_vote.vote));
+    }
+  }
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    const WalRecord& record = deltas[i];
+    switch (record.type) {
+      case WalRecordType::kAddSource:
+        sources.emplace(record.source, builder.AddSource(record.source));
+        break;
+      case WalRecordType::kAddVote: {
+        if (record.vote == Vote::kNone) {
+          return Status::InvalidArgument("add-vote carries '-'");
+        }
+        const SourceId s = builder.AddSource(record.source);
+        const FactId f = builder.AddFact(record.fact);
+        sources.emplace(record.source, s);
+        facts.emplace(record.fact, f);
+        CORROB_RETURN_NOT_OK(builder.SetVote(s, f, record.vote));
+        break;
+      }
+      case WalRecordType::kRetractVote: {
+        auto source_it = sources.find(record.source);
+        auto fact_it = facts.find(record.fact);
+        if (source_it == sources.end() || fact_it == facts.end()) break;
+        CORROB_RETURN_NOT_OK(
+            builder.SetVote(source_it->second, fact_it->second, Vote::kNone));
+        break;
+      }
+      case WalRecordType::kSnapshotMarker:
+        return Status::InvalidArgument("snapshot marker");
+    }
+  }
+  return builder.Build();
+}
+
+/// Structural equality: counts, every name and its lookup, and the
+/// per-fact and per-source vote spans of every id (which pins both
+/// CSR/CSC layouts, offsets included).
+void ExpectSameDataset(const Dataset& actual, const Dataset& expected) {
+  ASSERT_EQ(actual.num_sources(), expected.num_sources());
+  ASSERT_EQ(actual.num_facts(), expected.num_facts());
+  EXPECT_EQ(actual.num_votes(), expected.num_votes());
+  for (SourceId s = 0; s < expected.num_sources(); ++s) {
+    ASSERT_EQ(actual.source_name(s), expected.source_name(s));
+    Result<SourceId> found = actual.FindSource(expected.source_name(s));
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    EXPECT_EQ(found.ValueOrDie(), s);
+    EXPECT_TRUE(std::ranges::equal(actual.VotesBySource(s),
+                                   expected.VotesBySource(s)))
+        << "VotesBySource(" << s << ")";
+  }
+  for (FactId f = 0; f < expected.num_facts(); ++f) {
+    ASSERT_EQ(actual.fact_name(f), expected.fact_name(f));
+    Result<FactId> found = actual.FindFact(expected.fact_name(f));
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    EXPECT_EQ(found.ValueOrDie(), f);
+    EXPECT_TRUE(std::ranges::equal(actual.VotesOnFact(f),
+                                   expected.VotesOnFact(f)))
+        << "VotesOnFact(" << f << ")";
+  }
+}
+
+/// Applies `deltas` both ways and requires structural equality.
+void ExpectApplyMatchesReference(const Dataset& base,
+                                 std::span<const WalRecord> deltas) {
+  Result<Dataset> applied = ApplyDeltasToDataset(base, deltas);
+  Result<Dataset> reference = RebuildReference(base, deltas);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ExpectSameDataset(applied.ValueOrDie(), reference.ValueOrDie());
+}
+
+/// A delta stream over a MakeRandomDataset base: names are drawn from
+/// the base's "s<k>"/"f<k>" and a few past its end, so a batch mixes
+/// overwrites, inserts, erasures and new registrations.
+std::vector<WalRecord> MakeMixedDeltas(uint64_t seed, const Dataset& base,
+                                       int count) {
+  Rng rng(seed);
+  std::vector<WalRecord> deltas;
+  deltas.reserve(count);
+  for (int i = 0; i < count; ++i) {
+    const std::string source =
+        "s" + std::to_string(rng.UniformInt(0, base.num_sources() + 2));
+    const std::string fact =
+        "f" + std::to_string(rng.UniformInt(0, base.num_facts() + 4));
+    const double roll = rng.NextDouble();
+    if (roll < 0.05) {
+      deltas.push_back(MakeAddSource(source));
+    } else if (roll < 0.35) {
+      deltas.push_back(MakeRetractVote(source, fact));
+    } else {
+      deltas.push_back(MakeAddVote(
+          source, fact, rng.Bernoulli(0.5) ? Vote::kFalse : Vote::kTrue));
+    }
+  }
+  return deltas;
+}
+
+/// 3 sources x 4 facts, every pair voted.
+Dataset FullThreeByFour() {
+  DatasetBuilder builder;
+  for (int s = 0; s < 3; ++s) {
+    for (int f = 0; f < 4; ++f) {
+      builder.SetVoteByName("s" + std::to_string(s), "f" + std::to_string(f),
+                            (s + f) % 3 == 0 ? Vote::kFalse : Vote::kTrue);
+    }
+  }
+  return builder.Build();
 }
 
 TEST(DeltaApplyTest, EmptyDeltaSpanReproducesBaseExactly) {
@@ -280,6 +413,185 @@ TEST(DeltaApplyTest, RecoveryWithSnapshotUsesItAsTheBase) {
   EXPECT_EQ(CanonicalCsv(recovered.ValueOrDie()),
             CanonicalCsv(expected.ValueOrDie()));
   RemoveWalDir(dir);
+}
+
+TEST(DeltaApplyTest, IncrementalApplyEqualsFullRebuild) {
+  ForEachSeed(0x1CE4A11, 40, [](uint64_t seed) {
+    const Dataset base = proptest::MakeRandomDataset(seed);
+    ExpectApplyMatchesReference(base, MakeRandomDeltas(seed ^ 0x5EED, 40));
+    ExpectApplyMatchesReference(base, MakeMixedDeltas(seed ^ 0xD17A, base, 60));
+    ExpectApplyMatchesReference(Dataset(), MakeMixedDeltas(seed, base, 30));
+  });
+}
+
+TEST(DeltaApplyTest, ChainedAppliesEqualOneFullRebuild) {
+  ForEachSeed(0xC4A1ED, 10, [](uint64_t seed) {
+    const Dataset base = proptest::MakeRandomDataset(seed);
+    std::vector<WalRecord> all;
+    Dataset current = base;
+    for (int batch = 0; batch < 8; ++batch) {
+      const std::vector<WalRecord> deltas =
+          MakeMixedDeltas(seed + static_cast<uint64_t>(batch), base, 16);
+      all.insert(all.end(), deltas.begin(), deltas.end());
+      Result<Dataset> next = ApplyDeltasToDataset(current, deltas);
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      current = std::move(next).ValueOrDie();
+    }
+    Result<Dataset> reference = RebuildReference(base, all);
+    ASSERT_TRUE(reference.ok());
+    ExpectSameDataset(current, reference.ValueOrDie());
+  });
+}
+
+TEST(DeltaApplyTest, EmptyBatchMatchesReferenceAndBase) {
+  const Dataset base = FullThreeByFour();
+  ExpectApplyMatchesReference(base, {});
+  ExpectApplyMatchesReference(Dataset(), {});
+  Result<Dataset> applied = ApplyDeltasToDataset(base, {});
+  ASSERT_TRUE(applied.ok());
+  ExpectSameDataset(applied.ValueOrDie(), base);
+}
+
+TEST(DeltaApplyTest, FlipOnTheLastFactAndLastSource) {
+  const Dataset base = FullThreeByFour();
+  ASSERT_EQ(base.GetVote(2, 3), Vote::kTrue);
+  const std::vector<WalRecord> deltas = {
+      MakeAddVote("s2", "f3", Vote::kFalse)};
+  ExpectApplyMatchesReference(base, deltas);
+  Result<Dataset> applied = ApplyDeltasToDataset(base, deltas);
+  ASSERT_TRUE(applied.ok());
+  EXPECT_EQ(applied.ValueOrDie().GetVote(2, 3), Vote::kFalse);
+  EXPECT_EQ(applied.ValueOrDie().num_votes(), base.num_votes());
+}
+
+TEST(DeltaApplyTest, RetractThenReAddOfOnePairInOneBatch) {
+  const Dataset base = FullThreeByFour();
+  const std::vector<WalRecord> deltas = {
+      MakeRetractVote("s1", "f1"),
+      MakeAddVote("s1", "f1", Vote::kFalse),
+  };
+  ExpectApplyMatchesReference(base, deltas);
+  Result<Dataset> applied = ApplyDeltasToDataset(base, deltas);
+  ASSERT_TRUE(applied.ok());
+  EXPECT_EQ(applied.ValueOrDie().GetVote(1, 1), Vote::kFalse);
+  EXPECT_EQ(applied.ValueOrDie().num_votes(), base.num_votes());
+}
+
+TEST(DeltaApplyTest, AddSourceThenRetractionNamingItInOneBatch) {
+  const Dataset base = FullThreeByFour();
+  const std::vector<WalRecord> deltas = {
+      MakeAddSource("s-new"),
+      MakeRetractVote("s-new", "f0"),
+  };
+  ExpectApplyMatchesReference(base, deltas);
+  Result<Dataset> applied = ApplyDeltasToDataset(base, deltas);
+  ASSERT_TRUE(applied.ok());
+  EXPECT_EQ(applied.ValueOrDie().num_sources(), base.num_sources() + 1);
+  EXPECT_EQ(applied.ValueOrDie().num_votes(), base.num_votes());
+  EXPECT_TRUE(applied.ValueOrDie().VotesBySource(3).empty());
+}
+
+TEST(DeltaApplyTest, AddVoteEqualToTheBaseVoteChangesNothing) {
+  const Dataset base = FullThreeByFour();
+  const std::vector<WalRecord> deltas = {
+      MakeAddVote("s0", "f0", base.GetVote(0, 0))};
+  ExpectApplyMatchesReference(base, deltas);
+  Result<Dataset> applied = ApplyDeltasToDataset(base, deltas);
+  ASSERT_TRUE(applied.ok());
+  ExpectSameDataset(applied.ValueOrDie(), base);
+}
+
+TEST(DeltaApplyTest, BatchOfOnlyNewFacts) {
+  const Dataset base = FullThreeByFour();
+  const std::vector<WalRecord> deltas = {
+      MakeAddVote("s2", "f-new-0", Vote::kTrue),
+      MakeAddVote("s0", "f-new-1", Vote::kFalse),
+      MakeAddVote("s1", "f-new-0", Vote::kFalse),
+  };
+  ExpectApplyMatchesReference(base, deltas);
+  Result<Dataset> applied = ApplyDeltasToDataset(base, deltas);
+  ASSERT_TRUE(applied.ok());
+  EXPECT_EQ(applied.ValueOrDie().num_facts(), base.num_facts() + 2);
+  EXPECT_EQ(applied.ValueOrDie().num_votes(), base.num_votes() + 3);
+}
+
+TEST(DeltaApplyTest, ApplyLeavesTheBaseGenerationUnchanged) {
+  ForEachSeed(0xBA5E, 5, [](uint64_t seed) {
+    const Dataset base = proptest::MakeRandomDataset(seed);
+    const Dataset before = base;
+    const std::string csv_before = CanonicalCsv(base);
+    Result<Dataset> applied =
+        ApplyDeltasToDataset(base, MakeMixedDeltas(seed, base, 60));
+    ASSERT_TRUE(applied.ok());
+    EXPECT_EQ(CanonicalCsv(base), csv_before);
+    ExpectSameDataset(base, before);
+  });
+}
+
+TEST(DeltaApplyTest, BatchWithoutNewNamesSharesTheNameTables) {
+  const Dataset base = FullThreeByFour();
+  Result<Dataset> flipped = ApplyDeltasToDataset(
+      base, std::vector<WalRecord>{MakeAddVote("s0", "f1", Vote::kFalse),
+                                   MakeRetractVote("s2", "f2")});
+  ASSERT_TRUE(flipped.ok());
+  EXPECT_EQ(&flipped.ValueOrDie().fact_name(0), &base.fact_name(0));
+  EXPECT_EQ(&flipped.ValueOrDie().source_name(0), &base.source_name(0));
+
+  // A new source copies only the source table.
+  Result<Dataset> extended = ApplyDeltasToDataset(
+      base, std::vector<WalRecord>{MakeAddVote("s-new", "f1", Vote::kTrue)});
+  ASSERT_TRUE(extended.ok());
+  EXPECT_EQ(&extended.ValueOrDie().fact_name(0), &base.fact_name(0));
+  EXPECT_NE(&extended.ValueOrDie().source_name(0), &base.source_name(0));
+}
+
+/// Order-sensitive digest of every name and vote span of `dataset`.
+uint64_t DigestDataset(const Dataset& dataset) {
+  uint64_t digest = 1469598103934665603ULL;
+  auto mix = [&digest](uint64_t value) {
+    digest = (digest ^ value) * 1099511628211ULL;
+  };
+  for (SourceId s = 0; s < dataset.num_sources(); ++s) {
+    mix(std::hash<std::string>{}(dataset.source_name(s)));
+    for (const FactVote& vote : dataset.VotesBySource(s)) {
+      mix(static_cast<uint64_t>(vote.fact) * 4 +
+          static_cast<uint64_t>(vote.vote == Vote::kTrue));
+    }
+  }
+  for (FactId f = 0; f < dataset.num_facts(); ++f) {
+    mix(std::hash<std::string>{}(dataset.fact_name(f)));
+    for (const SourceVote& vote : dataset.VotesOnFact(f)) {
+      mix(static_cast<uint64_t>(vote.source) * 4 +
+          static_cast<uint64_t>(vote.vote == Vote::kTrue));
+    }
+  }
+  return digest;
+}
+
+TEST(DeltaApplyTest, ReadersOfAHeldGenerationRaceChainedApplies) {
+  // A served generation stays readable, unchanged, while later
+  // generations that share its name tables are derived and dropped.
+  const Dataset held = proptest::MakeRandomDataset(0x4EAD);
+  const uint64_t expected = DigestDataset(held);
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      do {
+        EXPECT_EQ(DigestDataset(held), expected);
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  Result<Dataset> current = ApplyDeltasToDataset(held, {});
+  for (int i = 0; i < 50 && current.ok(); ++i) {
+    const std::vector<WalRecord> deltas =
+        MakeMixedDeltas(static_cast<uint64_t>(i), held, 16);
+    current = ApplyDeltasToDataset(current.ValueOrDie(), deltas);
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+  EXPECT_EQ(DigestDataset(held), expected);
 }
 
 }  // namespace
