@@ -1,8 +1,8 @@
 // Overhead of the flight recorder (obs/flight_recorder.h) on the
 // serving hot path, recorded as BENCH_flight_recorder.json. The
-// kernel is the cheapest real work corrobd does for every request —
-// encode a CorroborateResponse payload, wrap it in a checksummed
-// frame, attach the client's request id — bracketed by recorder calls
+// kernel is the response work of a cache miss — encode a
+// CorroborateResponse payload, wrap it in a checksummed frame, attach
+// the client's request id — bracketed by recorder calls
 // exactly as src/server/server.cc places them: RequestStart is only
 // assembled behind an armed() check, spans and End no-op on the zero
 // handle. Three arms over the same scripted request stream:
@@ -60,8 +60,9 @@ int64_t RunStream(corrob::obs::FlightRecorder* recorder, int64_t requests,
     }
     if (recorder != nullptr) recorder->AddSpan(handle, "admitted");
 
-    // The serving work every request pays even on a cache hit:
-    // payload encode, id splice, checksummed frame encode.
+    // The response work of a request that misses the cache: payload
+    // encode, id splice, checksummed frame encode. A cache hit now
+    // skips all three (server/shared_response.h).
     if (recorder != nullptr) recorder->AddSpan(handle, "run_start");
     std::string payload =
         corrob::server::EncodeCorroborateResponse(response);

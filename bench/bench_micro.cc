@@ -2,9 +2,12 @@
 // scoring, ΔH evaluation, fixpoint iterations, Gibbs sweeps, and the
 // dedup text kernels.
 
+#include <string>
+
 #include <benchmark/benchmark.h>
 
 #include "common/budget.h"
+#include "common/crc32.h"
 #include "common/failpoint.h"
 #include "core/bayes_estimate.h"
 #include "core/delta_apply.h"
@@ -240,6 +243,21 @@ BENCHMARK(BM_ApplyDelta)
     ->Arg(100000)
     ->Arg(400000)
     ->Unit(benchmark::kMillisecond);
+
+// CRC-32 over Arg bytes: a small frame, a page, and the 800,117-byte
+// hot_read corroborate response that every cache hit sends and every
+// client verifies.
+void BM_Crc32(benchmark::State& state) {
+  std::string bytes(static_cast<size_t>(state.range(0)), '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>((i * 131 + 7) & 0xFF);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputeCrc32(bytes));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(800117);
 
 Status GuardedObserve(OnlineCorroborator& online,
                       const std::vector<SourceVote>& votes) {

@@ -6,13 +6,20 @@
 
 namespace corrob {
 
-/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial 0xEDB88320), used to
-/// checksum checkpoint payloads. Incremental use:
+/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial 0xEDB88320). It guards
+/// every byte corrob persists or ships: CRB1 frames, WAL records and
+/// snapshots, and online checkpoints. Computed slicing-by-8 (eight
+/// bytes per step), with digests independent of host byte order.
+/// Incremental use:
 ///
 ///   Crc32 crc;
 ///   crc.Update(header);
 ///   crc.Update(body);
 ///   uint32_t digest = crc.Digest();
+///
+/// A Crc32 is a small value: copying one after folding a shared prefix
+/// and continuing each copy with a different suffix gives each
+/// suffix's digest without rescanning the prefix.
 class Crc32 {
  public:
   Crc32() = default;

@@ -1,6 +1,7 @@
 #ifndef CORROB_OBS_CLOCK_H_
 #define CORROB_OBS_CLOCK_H_
 
+#include <atomic>
 #include <cstdint>
 
 // Injectable time source. Deterministic code (src/core, src/eval,
@@ -32,16 +33,17 @@ class MonotonicClock final : public Clock {
   static const MonotonicClock* Get();
 };
 
-/// A hand-cranked clock for tests: time moves only when told to.
+/// A hand-cranked clock for tests: time moves only when told to. The
+/// test thread may crank it while threads under test read it.
 class ManualClock final : public Clock {
  public:
-  int64_t NowNanos() const override { return now_nanos_; }
+  int64_t NowNanos() const override { return now_nanos_.load(); }
 
-  void SetNanos(int64_t nanos) { now_nanos_ = nanos; }
-  void AdvanceNanos(int64_t nanos) { now_nanos_ += nanos; }
+  void SetNanos(int64_t nanos) { now_nanos_.store(nanos); }
+  void AdvanceNanos(int64_t nanos) { now_nanos_.fetch_add(nanos); }
 
  private:
-  int64_t now_nanos_ = 0;
+  std::atomic<int64_t> now_nanos_{0};
 };
 
 }  // namespace obs

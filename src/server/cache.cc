@@ -36,6 +36,10 @@ void PutField(std::string* out, std::string_view field) {
   out->push_back(';');
 }
 
+int64_t PayloadBytes(const SharedResponse& response) {
+  return static_cast<int64_t>(response.payload->size());
+}
+
 struct CacheMetrics {
   obs::Counter* hits;
   obs::Counter* misses;
@@ -103,7 +107,7 @@ ResultCache::Shard& ResultCache::ShardFor(const std::string& key) {
   return *shards_[index];
 }
 
-std::optional<std::string> ResultCache::Lookup(const std::string& key) {
+std::optional<SharedResponse> ResultCache::Lookup(const std::string& key) {
   if (!enabled()) return std::nullopt;
   Shard& shard = ShardFor(key);
   {
@@ -113,7 +117,7 @@ std::optional<std::string> ResultCache::Lookup(const std::string& key) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       hits_.fetch_add(1, std::memory_order_relaxed);
       CacheMetrics::Get().hits->Add(1);
-      return it->second->payload;
+      return it->second->response;
     }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
@@ -123,7 +127,7 @@ std::optional<std::string> ResultCache::Lookup(const std::string& key) {
 
 void ResultCache::Insert(const std::string& key,
                          const std::string& dataset,
-                         std::string payload) {
+                         const SharedResponse& response) {
   if (!enabled()) return;
   Shard& shard = ShardFor(key);
   int64_t evicted = 0;
@@ -133,17 +137,23 @@ void ResultCache::Insert(const std::string& key,
     if (it != shard.index.end()) {
       // Concurrent cold runs of the same request race to insert; the
       // payloads are bit-identical, so refreshing recency is enough.
-      it->second->payload = std::move(payload);
+      bytes_.fetch_add(
+          PayloadBytes(response) - PayloadBytes(it->second->response),
+          std::memory_order_relaxed);
+      it->second->response = response;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       return;
     }
     while (static_cast<int>(shard.lru.size()) >= per_shard_capacity_) {
+      bytes_.fetch_sub(PayloadBytes(shard.lru.back().response),
+                       std::memory_order_relaxed);
       shard.index.erase(shard.lru.back().key);
       shard.lru.pop_back();
       ++evicted;
     }
-    shard.lru.push_front(Entry{key, dataset, std::move(payload)});
+    shard.lru.push_front(Entry{key, dataset, response});
     shard.index.emplace(key, shard.lru.begin());
+    bytes_.fetch_add(PayloadBytes(response), std::memory_order_relaxed);
   }
   insertions_.fetch_add(1, std::memory_order_relaxed);
   CacheMetrics::Get().insertions->Add(1);
@@ -161,6 +171,8 @@ void ResultCache::InvalidateDataset(const std::string& dataset) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     for (auto it = shard.lru.begin(); it != shard.lru.end();) {
       if (it->dataset == dataset) {
+        bytes_.fetch_sub(PayloadBytes(it->response),
+                         std::memory_order_relaxed);
         shard.index.erase(it->key);
         it = shard.lru.erase(it);
         ++dropped;
@@ -182,6 +194,7 @@ CacheStats ResultCache::stats() const {
   out.insertions = insertions_.load(std::memory_order_relaxed);
   out.evictions = evictions_.load(std::memory_order_relaxed);
   out.invalidations = invalidations_.load(std::memory_order_relaxed);
+  out.bytes = bytes_.load(std::memory_order_relaxed);
   for (const auto& shard_ptr : shards_) {
     std::lock_guard<std::mutex> lock(shard_ptr->mutex);
     out.entries += static_cast<int64_t>(shard_ptr->lru.size());

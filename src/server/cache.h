@@ -13,13 +13,15 @@
 
 #include "common/thread_annotations.h"
 #include "server/protocol.h"
+#include "server/shared_response.h"
 
 // Bounded, sharded LRU result cache for corrobd. Keys are the
 // canonical digest of (dataset name, dataset generation, algorithm,
 // effective round budget, normalized options); values are fully
-// encoded kResultResponse payloads, so a cache hit replays the exact
-// bytes a cold run produced — bit-identity is the contract the
-// serving-equivalence suite pins. Dataset reloads invalidate by
+// encoded kResultResponse payloads held as SharedResponses, so a cache
+// hit replays the exact bytes a cold run produced — bit-identity is
+// the contract the serving-equivalence suite pins — and takes a
+// reference to them rather than a copy. Dataset reloads invalidate by
 // generation bump: stale keys can never match again, and
 // InvalidateDataset() reclaims their memory eagerly.
 //
@@ -50,6 +52,8 @@ struct CacheStats {
   int64_t evictions = 0;
   int64_t invalidations = 0;
   int64_t entries = 0;
+  /// Sum of the resident cached payload sizes.
+  int64_t bytes = 0;
 };
 
 /// Builds the canonical cache key. `options` must already be
@@ -62,8 +66,8 @@ struct CacheStats {
                                    int64_t effective_max_rounds,
                                    const OptionList& options);
 
-/// Thread-safe sharded LRU map from canonical key to encoded
-/// response payload. All methods may be called from any connection
+/// Thread-safe sharded LRU map from canonical key to shared encoded
+/// response. All methods may be called from any connection
 /// thread; eviction order is exact LRU within each shard.
 class ResultCache {
  public:
@@ -74,15 +78,17 @@ class ResultCache {
 
   [[nodiscard]] bool enabled() const { return per_shard_capacity_ > 0; }
 
-  /// Returns the cached payload and refreshes its recency, or nullopt
-  /// (also counting the miss).
-  [[nodiscard]] std::optional<std::string> Lookup(const std::string& key);
+  /// Returns a reference to the cached response and refreshes its
+  /// recency, or nullopt (also counting the miss). The payload stays
+  /// valid for as long as the caller holds it, through eviction and
+  /// invalidation.
+  [[nodiscard]] std::optional<SharedResponse> Lookup(const std::string& key);
 
   /// Inserts (or refreshes) `key`. `dataset` tags the entry for
   /// InvalidateDataset. Evicts the shard's least-recently-used entry
   /// when full. No-op when the cache is disabled.
   void Insert(const std::string& key, const std::string& dataset,
-              std::string payload);
+              const SharedResponse& response);
 
   /// Drops every entry tagged with `dataset` (all generations). Used
   /// on reload so stale generations free their memory immediately
@@ -97,7 +103,7 @@ class ResultCache {
   struct Entry {
     std::string key;
     std::string dataset;
-    std::string payload;
+    SharedResponse response;
   };
   /// One LRU shard: list front = most recent; map points into the list.
   struct Shard {
@@ -118,6 +124,8 @@ class ResultCache {
   std::atomic<int64_t> insertions_{0};
   std::atomic<int64_t> evictions_{0};
   std::atomic<int64_t> invalidations_{0};
+  /// Resident payload bytes; updated under the owning shard's mutex.
+  std::atomic<int64_t> bytes_{0};
 };
 
 }  // namespace server

@@ -48,7 +48,7 @@ struct RunCoalescer::Ticket::Flight {
   /// Leadership is up for grabs: the previous leader abandoned and no
   /// follower has claimed the flight yet.
   bool orphaned = false;
-  std::string payload;
+  SharedResponse response;
   std::condition_variable cv;
 };
 
@@ -75,11 +75,11 @@ RunCoalescer::Ticket RunCoalescer::Attach(const std::string& key) {
 }
 
 void RunCoalescer::Publish(const Ticket& ticket,
-                           const std::string& payload) {
+                           const SharedResponse& response) {
   auto& flight = *ticket.flight_;
   std::lock_guard<std::mutex> lock(mutex_);
   flight.published = true;
-  flight.payload = payload;
+  flight.response = response;
   const auto it = flights_.find(flight.key);
   if (it != flights_.end() && it->second == ticket.flight_) {
     flights_.erase(it);
@@ -120,7 +120,7 @@ RunCoalescer::WaitResult RunCoalescer::Wait(Ticket* ticket,
     if (flight.published) {
       --flight.waiters;
       result.outcome = WaitOutcome::kGotResult;
-      result.payload = flight.payload;
+      result.response = flight.response;
       ++stats_.shared;
       CoalesceMetrics::Get().shared->Add(1);
       return result;

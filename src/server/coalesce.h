@@ -10,12 +10,14 @@
 
 #include "common/budget.h"
 #include "common/thread_annotations.h"
+#include "server/shared_response.h"
 
 // Request coalescing (single-flight) for corrobd. When several
 // connections ask for the same canonical cache key at once, exactly
 // one of them (the leader) runs the corroboration; the rest
-// (followers) block on the flight and receive a byte-identical copy
-// of the leader's encoded response. Invariants the race tests pin:
+// (followers) block on the flight and receive a reference to the
+// leader's encoded response (the same SharedResponse the cache holds,
+// never a copy). Invariants the race tests pin:
 //
 //   * A follower abandoning its wait (its own cancel/disconnect)
 //     never disturbs the leader or the other followers.
@@ -35,7 +37,7 @@ class RunCoalescer {
 
   /// How a follower's Wait ended.
   enum class WaitOutcome : uint8_t {
-    /// The leader published; `payload` is the shared response bytes.
+    /// The leader published; `response` is the shared response.
     kGotResult,
     /// The leader abandoned and this follower inherited leadership;
     /// the caller must run the request itself and then Publish or
@@ -48,7 +50,7 @@ class RunCoalescer {
 
   struct WaitResult {
     WaitOutcome outcome = WaitOutcome::kCancelled;
-    std::string payload;
+    SharedResponse response;
   };
 
   /// Monotonic counters for stats frames and tests.
@@ -86,7 +88,7 @@ class RunCoalescer {
   /// waiting follower and retires the flight. Later Attach(key) calls
   /// start a fresh flight (the result cache, not the coalescer, is
   /// the layer that remembers).
-  void Publish(const Ticket& ticket, const std::string& payload);
+  void Publish(const Ticket& ticket, const SharedResponse& response);
 
   /// Leader only: exits without a shareable result. One waiting
   /// follower (if any) is promoted to leader and the flight stays

@@ -1,7 +1,10 @@
 #include <array>
+#include <charconv>
 #include <cstdint>
 #include <iostream>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "common/budget.h"
@@ -30,6 +33,22 @@ struct DaemonFlags {
   std::string failpoints;
 };
 
+/// Parses the whole of `text` as a T. Whitespace, a leading '+',
+/// trailing junk ("8x") and out-of-range values are all rejected.
+template <typename T>
+[[nodiscard]] Result<T> ParseNumber(const std::string& flag,
+                                    const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || stop != end) {
+    return Status::InvalidArgument(
+        flag + ": '" + text + "' is " +
+        (std::is_integral_v<T> ? "not an integer" : "not a number"));
+  }
+  return value;
+}
+
 /// Parses "a,b,c" into exactly kNumPriorities non-negative integers.
 [[nodiscard]] Status ParsePerClassInts(const std::string& flag,
                                        const std::string& text,
@@ -47,12 +66,7 @@ struct DaemonFlags {
     }
     const std::string part = text.substr(
         begin, comma == std::string::npos ? std::string::npos : comma - begin);
-    try {
-      values[cls] = std::stoll(part);
-    } catch (...) {
-      return Status::InvalidArgument(flag + ": '" + part +
-                                     "' is not an integer");
-    }
+    CORROB_ASSIGN_OR_RETURN(values[cls], ParseNumber<int64_t>(flag, part));
     if (values[cls] < 0) {
       return Status::InvalidArgument(flag + " values must be >= 0");
     }
@@ -76,14 +90,17 @@ struct DaemonFlags {
   if (first == std::string::npos) return malformed;
   const size_t second = limits_text.find(':', first + 1);
   if (second == std::string::npos) return malformed;
+  const Result<double> qps =
+      ParseNumber<double>("qps", limits_text.substr(0, first));
+  const Result<double> burst = ParseNumber<double>(
+      "burst", limits_text.substr(first + 1, second - first - 1));
+  const Result<int> slots =
+      ParseNumber<int>("slots", limits_text.substr(second + 1));
+  if (!qps.ok() || !burst.ok() || !slots.ok()) return malformed;
   TenantLimits limits;
-  try {
-    limits.qps = std::stod(limits_text.substr(0, first));
-    limits.burst = std::stod(limits_text.substr(first + 1, second - first - 1));
-    limits.concurrent_slots = std::stoi(limits_text.substr(second + 1));
-  } catch (...) {
-    return malformed;
-  }
+  limits.qps = qps.ValueOrDie();
+  limits.burst = burst.ValueOrDie();
+  limits.concurrent_slots = slots.ValueOrDie();
   if (limits.qps < 0 || limits.burst < 0 || limits.concurrent_slots < 0) {
     return Status::InvalidArgument("--tenant-quota values must be >= 0");
   }
@@ -99,6 +116,12 @@ struct DaemonFlags {
     }
     return args[i + 1];
   };
+  // The value after flag i, parsed whole into `*out`.
+  const auto number = [&]<typename T>(size_t i, T* out) -> Status {
+    CORROB_ASSIGN_OR_RETURN(std::string value, needs_value(i));
+    CORROB_ASSIGN_OR_RETURN(*out, ParseNumber<T>(args[i], value));
+    return Status::OK();
+  };
   for (size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (arg == "--socket") {
@@ -109,8 +132,7 @@ struct DaemonFlags {
       flags->server.dataset_specs.push_back(spec);
       ++i;
     } else if (arg == "--max-concurrency") {
-      CORROB_ASSIGN_OR_RETURN(std::string value, needs_value(i));
-      flags->server.admission.max_concurrency = std::stoi(value);
+      CORROB_RETURN_NOT_OK(number(i, &flags->server.admission.max_concurrency));
       ++i;
     } else if (arg == "--queue-capacity") {
       CORROB_ASSIGN_OR_RETURN(std::string value, needs_value(i));
@@ -135,33 +157,27 @@ struct DaemonFlags {
           &flags->server.admission.default_max_rounds));
       ++i;
     } else if (arg == "--threads") {
-      CORROB_ASSIGN_OR_RETURN(std::string value, needs_value(i));
-      flags->server.run_threads = std::stoi(value);
+      CORROB_RETURN_NOT_OK(number(i, &flags->server.run_threads));
       ++i;
     } else if (arg == "--drain-timeout-ms") {
-      CORROB_ASSIGN_OR_RETURN(std::string value, needs_value(i));
-      flags->server.drain_timeout_ms = std::stoll(value);
+      CORROB_RETURN_NOT_OK(number(i, &flags->server.drain_timeout_ms));
       ++i;
     } else if (arg == "--cache-entries") {
-      CORROB_ASSIGN_OR_RETURN(std::string value, needs_value(i));
-      flags->server.cache.capacity_entries = std::stoi(value);
+      CORROB_RETURN_NOT_OK(number(i, &flags->server.cache.capacity_entries));
       ++i;
     } else if (arg == "--cache-shards") {
-      CORROB_ASSIGN_OR_RETURN(std::string value, needs_value(i));
-      flags->server.cache.shards = std::stoi(value);
+      CORROB_RETURN_NOT_OK(number(i, &flags->server.cache.shards));
       ++i;
     } else if (arg == "--tenant-qps") {
-      CORROB_ASSIGN_OR_RETURN(std::string value, needs_value(i));
-      flags->server.quota.default_limits.qps = std::stod(value);
+      CORROB_RETURN_NOT_OK(number(i, &flags->server.quota.default_limits.qps));
       ++i;
     } else if (arg == "--tenant-burst") {
-      CORROB_ASSIGN_OR_RETURN(std::string value, needs_value(i));
-      flags->server.quota.default_limits.burst = std::stod(value);
+      CORROB_RETURN_NOT_OK(
+          number(i, &flags->server.quota.default_limits.burst));
       ++i;
     } else if (arg == "--tenant-slots") {
-      CORROB_ASSIGN_OR_RETURN(std::string value, needs_value(i));
-      flags->server.quota.default_limits.concurrent_slots =
-          std::stoi(value);
+      CORROB_RETURN_NOT_OK(
+          number(i, &flags->server.quota.default_limits.concurrent_slots));
       ++i;
     } else if (arg == "--tenant-quota") {
       CORROB_ASSIGN_OR_RETURN(std::string spec, needs_value(i));
@@ -175,20 +191,17 @@ struct DaemonFlags {
       flags->failpoints += spec;
       ++i;
     } else if (arg == "--flight-recorder-entries") {
-      CORROB_ASSIGN_OR_RETURN(std::string value, needs_value(i));
-      flags->server.flight_recorder_entries = std::stoi(value);
+      CORROB_RETURN_NOT_OK(number(i, &flags->server.flight_recorder_entries));
       ++i;
     } else if (arg == "--slow-request-ms") {
-      CORROB_ASSIGN_OR_RETURN(std::string value, needs_value(i));
-      flags->server.slow_request_ms = std::stoll(value);
+      CORROB_RETURN_NOT_OK(number(i, &flags->server.slow_request_ms));
       ++i;
     } else if (arg == "--watchdog-interval-ms") {
-      CORROB_ASSIGN_OR_RETURN(std::string value, needs_value(i));
-      flags->server.watchdog_interval_ms = std::stoll(value);
+      CORROB_RETURN_NOT_OK(number(i, &flags->server.watchdog_interval_ms));
       ++i;
     } else if (arg == "--watchdog-multiplier") {
-      CORROB_ASSIGN_OR_RETURN(std::string value, needs_value(i));
-      flags->server.watchdog_deadline_multiplier = std::stod(value);
+      CORROB_RETURN_NOT_OK(
+          number(i, &flags->server.watchdog_deadline_multiplier));
       ++i;
     } else if (arg == "--wal") {
       CORROB_ASSIGN_OR_RETURN(flags->server.wal_dir, needs_value(i));
@@ -199,16 +212,16 @@ struct DaemonFlags {
                               ParseWalFsyncPolicy(value));
       ++i;
     } else if (arg == "--wal-fsync-interval") {
-      CORROB_ASSIGN_OR_RETURN(std::string value, needs_value(i));
-      const int64_t interval = std::stoll(value);
+      int64_t interval = 0;
+      CORROB_RETURN_NOT_OK(number(i, &interval));
       if (interval <= 0) {
         return Status::InvalidArgument("--wal-fsync-interval must be > 0");
       }
       flags->server.wal_fsync_interval_records = interval;
       ++i;
     } else if (arg == "--wal-segment-bytes") {
-      CORROB_ASSIGN_OR_RETURN(std::string value, needs_value(i));
-      const int64_t bytes = std::stoll(value);
+      int64_t bytes = 0;
+      CORROB_RETURN_NOT_OK(number(i, &bytes));
       if (bytes <= 0) {
         return Status::InvalidArgument("--wal-segment-bytes must be > 0");
       }

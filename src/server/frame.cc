@@ -12,6 +12,10 @@ namespace server {
 
 namespace {
 
+/// Pieces shorter than this are copied into the staging buffer that
+/// carries the header and trailer; longer ones are written in place.
+constexpr size_t kStagePieceBytes = 4096;
+
 uint32_t FrameChecksum(uint8_t type, std::string_view payload) {
   Crc32 crc;
   const char type_byte = static_cast<char>(type);
@@ -214,10 +218,51 @@ Result<Frame> ReadFrame(int fd, const StopSignal& stop) {
   return std::move(*frame);
 }
 
-Status WriteFrame(int fd, const Frame& frame, const StopSignal& stop) {
+Status WriteFramePieces(int fd, FrameType type,
+                        std::span<const std::string_view> pieces,
+                        const StopSignal& stop, const FoldedPrefix* folded) {
   CORROB_FAILPOINT("server.frame.write");
-  const std::string wire = EncodeFrame(frame);
-  return WriteAll(fd, wire.data(), wire.size(), stop);
+  Crc32 crc;
+  size_t unfolded = 0;
+  if (folded != nullptr) {
+    crc = folded->crc;
+    unfolded = folded->pieces;
+  } else {
+    const char type_byte = static_cast<char>(type);
+    crc.Update(std::string_view(&type_byte, 1));
+  }
+  size_t payload_length = 0;
+  size_t staged_length = kFrameHeaderBytes + kFrameTrailerBytes;
+  for (size_t i = 0; i < pieces.size(); ++i) {
+    payload_length += pieces[i].size();
+    if (pieces[i].size() < kStagePieceBytes) staged_length += pieces[i].size();
+    if (i >= unfolded) crc.Update(pieces[i]);
+  }
+
+  std::string staged;
+  staged.reserve(staged_length);
+  ByteWriter writer(&staged);
+  writer.U32(kFrameMagic);
+  writer.U8(static_cast<uint8_t>(type));
+  writer.U32(static_cast<uint32_t>(payload_length));
+  for (const std::string_view piece : pieces) {
+    if (piece.size() < kStagePieceBytes) {
+      writer.Raw(piece);
+      continue;
+    }
+    if (!staged.empty()) {
+      CORROB_RETURN_NOT_OK(WriteAll(fd, staged.data(), staged.size(), stop));
+      staged.clear();
+    }
+    CORROB_RETURN_NOT_OK(WriteAll(fd, piece.data(), piece.size(), stop));
+  }
+  writer.U32(crc.Digest());
+  return WriteAll(fd, staged.data(), staged.size(), stop);
+}
+
+Status WriteFrame(int fd, const Frame& frame, const StopSignal& stop) {
+  const std::string_view payload = frame.payload;
+  return WriteFramePieces(fd, frame.type, {&payload, 1}, stop);
 }
 
 }  // namespace server

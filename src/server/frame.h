@@ -3,10 +3,12 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
 #include "common/budget.h"
+#include "common/crc32.h"
 #include "common/result.h"
 #include "common/status.h"
 
@@ -95,8 +97,26 @@ struct Frame {
 [[nodiscard]] Result<std::optional<Frame>> ReadFrameOrEof(
     int fd, const StopSignal& stop);
 
-/// Writes one frame to `fd`, polling `stop`. The "server.frame.write"
-/// failpoint is checked before the write.
+/// A Crc32 already folded over a frame's type byte and its first
+/// `pieces` payload pieces (see WriteFramePieces).
+struct FoldedPrefix {
+  Crc32 crc;
+  size_t pieces = 0;
+};
+
+/// Writes one frame whose payload is the concatenation of `pieces`,
+/// without joining them: pieces under a few KiB are staged with the
+/// header and trailer, larger ones go to the socket straight from the
+/// caller's buffer. With `folded`, the trailer continues from
+/// `folded->crc` and scans only the pieces after the first
+/// `folded->pieces`. The bytes on the wire equal EncodeFrame of the
+/// joined payload. Polls `stop`; the "server.frame.write" failpoint is
+/// checked before the write.
+[[nodiscard]] Status WriteFramePieces(
+    int fd, FrameType type, std::span<const std::string_view> pieces,
+    const StopSignal& stop, const FoldedPrefix* folded = nullptr);
+
+/// WriteFramePieces of the one-piece payload `frame.payload`.
 [[nodiscard]] Status WriteFrame(int fd, const Frame& frame,
                                 const StopSignal& stop);
 

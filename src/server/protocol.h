@@ -176,8 +176,10 @@ struct QuotaExceededResponse {
 /// appends the id as a length-prefixed string. With an empty id the
 /// payload is untouched, byte for byte — the property that keeps
 /// cached, coalesced and batch replies identical to what a v2 peer
-/// recorded. The daemon calls this after the cache/coalescer, so the
-/// shared canonical payload never carries any one client's id.
+/// recorded. This is the reference definition: the daemon writes the
+/// same bytes with WriteSharedResponse (server/shared_response.h),
+/// splicing the id onto its frame without copying the shared
+/// canonical payload, which never carries any one client's id.
 void AttachRequestId(std::string* payload, const std::string& request_id);
 
 /// Upper bound on sub-requests in one batch frame; a decoder seeing

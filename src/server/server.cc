@@ -549,6 +549,7 @@ Status CorrobdServer::HandleStats(Connection* connection) {
   cache_json.Set("evictions", obs::JsonValue::Int(cache.evictions));
   cache_json.Set("invalidations", obs::JsonValue::Int(cache.invalidations));
   cache_json.Set("entries", obs::JsonValue::Int(cache.entries));
+  cache_json.Set("bytes", obs::JsonValue::Int(cache.bytes));
   stats.Set("cache", std::move(cache_json));
 
   const RunCoalescer::Stats coalesce = coalescer_.stats();
@@ -667,10 +668,10 @@ Status CorrobdServer::HandleIntrospect(Connection* connection,
   return written;
 }
 
-CorrobdServer::SubResponse CorrobdServer::ExecuteOne(
+SharedResponse CorrobdServer::ExecuteOne(
     Connection* connection, const SubRequest& request, bool charge_rate) {
   ServerMetrics& metrics = ServerMetrics::Get();
-  SubResponse out;
+  SharedResponse out;
 
   const int cls = static_cast<int>(request.priority);
   const int64_t timeout_ms =
@@ -701,7 +702,7 @@ CorrobdServer::SubResponse CorrobdServer::ExecuteOne(
   const auto finish_record = [&](std::string_view termination) {
     if (record == 0) return;
     finish.termination = std::string(termination);
-    finish.response_bytes = static_cast<int64_t>(out.payload.size());
+    finish.response_bytes = static_cast<int64_t>(out.payload->size());
     const obs::FinishSummary summary = recorder_->End(record, finish);
     if (summary.slow) {
       metrics.slow_requests->Add(1);
@@ -716,21 +717,21 @@ CorrobdServer::SubResponse CorrobdServer::ExecuteOne(
   };
 
   const auto fail = [&](const Status& status) {
-    out.type = FrameType::kErrorResponse;
     ErrorResponse body;
     body.code = static_cast<uint8_t>(status.code());
     body.message = status.message();
-    out.payload = EncodeErrorResponse(body);
+    out = MakeSharedResponse(FrameType::kErrorResponse,
+                             EncodeErrorResponse(body));
     metrics.requests_failed->Add(1);
     finish_record("error");
   };
   const auto quota_reject = [&](const QuotaDecision& decision) {
-    out.type = FrameType::kQuotaExceededResponse;
     QuotaExceededResponse body;
     body.retry_after_ms = decision.retry_after_ms;
     body.tenant = request.tenant;
     body.message = decision.reason;
-    out.payload = EncodeQuotaExceededResponse(body);
+    out = MakeSharedResponse(FrameType::kQuotaExceededResponse,
+                             EncodeQuotaExceededResponse(body));
     metrics.requests_quota_rejected->Add(1);
     finish_record("quota_rejected");
   };
@@ -777,12 +778,12 @@ CorrobdServer::SubResponse CorrobdServer::ExecuteOne(
       CacheKey(request.dataset, generation, request.algorithm,
                effective_rounds, request.options);
 
-  // Cache fast path: replay the exact bytes of the original cold run.
-  // No admission slot, no tenant run slot — a hit costs the daemon no
-  // corroboration work (the rate token above was still charged).
-  if (std::optional<std::string> cached = cache_->Lookup(key)) {
-    out.type = FrameType::kResultResponse;
-    out.payload = *std::move(cached);
+  // Cache fast path: replay the exact bytes of the original cold run,
+  // by reference. No admission slot, no tenant run slot — a hit costs
+  // the daemon no corroboration work (the rate token above was still
+  // charged).
+  if (std::optional<SharedResponse> cached = cache_->Lookup(key)) {
+    out = *std::move(cached);
     finish.role = obs::RequestRole::kCacheHit;
     finish_record("cached");
     return out;
@@ -810,14 +811,14 @@ CorrobdServer::SubResponse CorrobdServer::ExecuteOne(
   finish.admission_wait_nanos = admitted.queue_wait_nanos;
   switch (admitted.outcome) {
     case AdmissionDecision::Outcome::kShed: {
-      out.type = FrameType::kOverloadedResponse;
       OverloadedResponse body;
       body.retry_after_ms = admitted.retry_after_ms;
       body.queue_depth = admitted.queue_depth;
       body.message = "admission queue for class '" +
                      std::string(PriorityName(request.priority)) +
                      "' is full";
-      out.payload = EncodeOverloadedResponse(body);
+      out = MakeSharedResponse(FrameType::kOverloadedResponse,
+                               EncodeOverloadedResponse(body));
       metrics.requests_shed->Add(1);
       finish_record("shed");
       quotas_->ExitRun(request.tenant);
@@ -857,8 +858,7 @@ CorrobdServer::SubResponse CorrobdServer::ExecuteOne(
       RunCoalescer::WaitResult waited =
           coalescer_.Wait(&ticket, request_stop);
       if (waited.outcome == RunCoalescer::WaitOutcome::kGotResult) {
-        out.type = FrameType::kResultResponse;
-        out.payload = std::move(waited.payload);
+        out = std::move(waited.response);
         finish.role = obs::RequestRole::kFollower;
         finish_record("coalesced");
         break;
@@ -925,11 +925,11 @@ CorrobdServer::SubResponse CorrobdServer::ExecuteOne(
     body.iterations = static_cast<uint32_t>(result.iterations);
     body.fact_probability = result.fact_probability;
     body.source_trust = result.source_trust;
-    out.type = FrameType::kResultResponse;
-    out.payload = EncodeCorroborateResponse(body);
+    out = MakeSharedResponse(FrameType::kResultResponse,
+                             EncodeCorroborateResponse(body));
     if (IsShareableTermination(body.termination)) {
-      cache_->Insert(key, request.dataset, out.payload);
-      coalescer_.Publish(ticket, out.payload);
+      cache_->Insert(key, request.dataset, out);
+      coalescer_.Publish(ticket, out);
       finish.role = was_follower ? obs::RequestRole::kPromoted
                                  : obs::RequestRole::kLeader;
     } else {
@@ -955,14 +955,15 @@ CorrobdServer::SubResponse CorrobdServer::ExecuteOne(
 
 Status CorrobdServer::HandleCorroborate(Connection* connection,
                                         const std::string& payload) {
-  Frame response;
+  SharedResponse response;
+  std::string_view request_id;
   Result<CorroborateRequest> decoded = DecodeCorroborateRequest(payload);
   if (!decoded.ok()) {
-    response.type = FrameType::kErrorResponse;
     ErrorResponse body;
     body.code = static_cast<uint8_t>(decoded.status().code());
     body.message = decoded.status().message();
-    response.payload = EncodeErrorResponse(body);
+    response = MakeSharedResponse(FrameType::kErrorResponse,
+                                  EncodeErrorResponse(body));
     ServerMetrics::Get().requests_failed->Add(1);
   } else {
     const CorroborateRequest& request = decoded.ValueOrDie();
@@ -975,15 +976,14 @@ Status CorrobdServer::HandleCorroborate(Connection* connection,
     sub.max_rounds = request.max_rounds;
     sub.options = request.options;
     sub.request_id = request.request_id;
-    SubResponse result = ExecuteOne(connection, sub, /*charge_rate=*/true);
-    response.type = result.type;
-    response.payload = std::move(result.payload);
-    // After the cache/coalescer: the shared canonical payload stays
-    // id-free; only this client's copy grows the echo.
-    AttachRequestId(&response.payload, request.request_id);
+    response = ExecuteOne(connection, sub, /*charge_rate=*/true);
+    request_id = request.request_id;
   }
 
-  Status written = WriteFrame(connection->fd.get(), response, WriteStop());
+  // After the cache/coalescer: the shared canonical payload stays
+  // id-free; only this client's frame carries the echo.
+  Status written = WriteSharedResponse(connection->fd.get(), response,
+                                       request_id, WriteStop());
   if (written.ok()) {
     responses_sent_.fetch_add(1, std::memory_order_relaxed);
     ServerMetrics::Get().responses_sent->Add(1);
@@ -1028,11 +1028,11 @@ Status CorrobdServer::HandleBatch(Connection* connection,
         sub.timeout_ms = item.timeout_ms;
         sub.max_rounds = item.max_rounds;
         sub.options = item.options;
-        SubResponse result =
+        const SharedResponse result =
             ExecuteOne(connection, sub, /*charge_rate=*/false);
         BatchItemResponse encoded;
         encoded.type = static_cast<uint8_t>(result.type);
-        encoded.payload = std::move(result.payload);
+        encoded.payload = *result.payload;
         batch.items.push_back(std::move(encoded));
       }
       response.type = FrameType::kBatchResponse;

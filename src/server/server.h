@@ -26,6 +26,7 @@
 #include "server/frame.h"
 #include "server/protocol.h"
 #include "server/quota.h"
+#include "server/shared_response.h"
 
 // corrobd: the corroboration daemon. Datasets are loaded once at
 // startup into shared read-only state (reloadable in place, bumping a
@@ -185,14 +186,6 @@ class CorrobdServer {
     std::string request_id;
   };
 
-  /// What ExecuteOne produced: the response frame type and its
-  /// payload, byte-identical whether it is written standalone or
-  /// embedded as a batch item.
-  struct SubResponse {
-    FrameType type = FrameType::kErrorResponse;
-    std::string payload;
-  };
-
   /// Runs one connection: frame loop until EOF, drain, or a framing
   /// error. Never throws; never exits the process.
   void RunConnection(Connection* connection);
@@ -248,10 +241,12 @@ class CorrobdServer {
   /// Cache lookup → quota → admission → coalesce → run. When
   /// `charge_rate` (standalone requests), the tenant's rate bucket is
   /// charged one token up front; batch items are pre-charged by
-  /// HandleBatch.
-  [[nodiscard]] SubResponse ExecuteOne(Connection* connection,
-                                       const SubRequest& request,
-                                       bool charge_rate);
+  /// HandleBatch. The response is byte-identical whether it is written
+  /// standalone or embedded as a batch item; a hit or a coalesced
+  /// follower gets the cache's own SharedResponse, not a copy.
+  [[nodiscard]] SharedResponse ExecuteOne(Connection* connection,
+                                          const SubRequest& request,
+                                          bool charge_rate);
 
   /// Re-reads `served` from its startup path. On success the new data
   /// is swapped in, the generation bumps, and cached results for the

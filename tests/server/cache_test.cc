@@ -3,6 +3,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,11 @@
 namespace corrob {
 namespace server {
 namespace {
+
+/// The test payloads as the shared responses the daemon publishes.
+SharedResponse Shared(std::string payload) {
+  return MakeSharedResponse(FrameType::kResultResponse, std::move(payload));
+}
 
 TEST(CacheKeyTest, AlgorithmSpellingsFoldToOneKey) {
   const OptionList no_options;
@@ -66,10 +72,10 @@ TEST(ResultCacheTest, LookupInsertAndCounters) {
   ASSERT_TRUE(cache.enabled());
 
   EXPECT_FALSE(cache.Lookup("k1").has_value());
-  cache.Insert("k1", "d", "payload-1");
-  std::optional<std::string> hit = cache.Lookup("k1");
+  cache.Insert("k1", "d", Shared("payload-1"));
+  std::optional<SharedResponse> hit = cache.Lookup("k1");
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, "payload-1");
+  EXPECT_EQ(*hit->payload, "payload-1");
 
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1);
@@ -81,10 +87,10 @@ TEST(ResultCacheTest, LookupInsertAndCounters) {
 
 TEST(ResultCacheTest, ReinsertRefreshesInsteadOfDuplicating) {
   ResultCache cache(CacheOptions{.capacity_entries = 4, .shards = 1});
-  cache.Insert("k", "d", "old");
-  cache.Insert("k", "d", "new");
+  cache.Insert("k", "d", Shared("old"));
+  cache.Insert("k", "d", Shared("new"));
   EXPECT_EQ(cache.stats().entries, 1);
-  EXPECT_EQ(cache.Lookup("k").value(), "new");
+  EXPECT_EQ(*cache.Lookup("k").value().payload, "new");
 }
 
 TEST(ResultCacheTest, TwoEntryEvictionIsExactLru) {
@@ -92,10 +98,10 @@ TEST(ResultCacheTest, TwoEntryEvictionIsExactLru) {
   // is fully determined: a lookup refreshes recency and the *other*
   // entry goes.
   ResultCache cache(CacheOptions{.capacity_entries = 2, .shards = 1});
-  cache.Insert("a", "d", "pa");
-  cache.Insert("b", "d", "pb");
+  cache.Insert("a", "d", Shared("pa"));
+  cache.Insert("b", "d", Shared("pb"));
   ASSERT_TRUE(cache.Lookup("a").has_value());  // a is now most recent
-  cache.Insert("c", "d", "pc");                // evicts b, not a
+  cache.Insert("c", "d", Shared("pc"));        // evicts b, not a
 
   EXPECT_TRUE(cache.Lookup("a").has_value());
   EXPECT_FALSE(cache.Lookup("b").has_value());
@@ -108,7 +114,7 @@ TEST(ResultCacheTest, TwoEntryEvictionIsExactLru) {
 TEST(ResultCacheTest, ZeroCapacityDisablesEverything) {
   ResultCache cache(CacheOptions{.capacity_entries = 0, .shards = 8});
   EXPECT_FALSE(cache.enabled());
-  cache.Insert("k", "d", "p");
+  cache.Insert("k", "d", Shared("p"));
   EXPECT_FALSE(cache.Lookup("k").has_value());
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 0);
@@ -127,9 +133,9 @@ TEST(ResultCacheTest, ShardCountIsClampedToCapacity) {
 
 TEST(ResultCacheTest, InvalidateDatasetDropsOnlyItsEntries) {
   ResultCache cache(CacheOptions{.capacity_entries = 16, .shards = 4});
-  cache.Insert("k1", "flights", "p1");
-  cache.Insert("k2", "flights", "p2");
-  cache.Insert("k3", "books", "p3");
+  cache.Insert("k1", "flights", Shared("p1"));
+  cache.Insert("k2", "flights", Shared("p2"));
+  cache.Insert("k3", "books", Shared("p3"));
 
   cache.InvalidateDataset("flights");
   EXPECT_FALSE(cache.Lookup("k1").has_value());
@@ -152,12 +158,12 @@ TEST(ResultCacheTest, ConcurrentMixedTrafficStaysConsistent) {
     threads.emplace_back([&cache, t] {
       for (int i = 0; i < 500; ++i) {
         const std::string key = "k" + std::to_string((t * 7 + i) % 48);
-        if (std::optional<std::string> got = cache.Lookup(key)) {
+        if (std::optional<SharedResponse> got = cache.Lookup(key)) {
           // Payload content is keyed on the key itself: a hit must
           // never observe another key's bytes.
-          EXPECT_EQ(*got, "payload-" + key);
+          EXPECT_EQ(*got->payload, "payload-" + key);
         } else {
-          cache.Insert(key, "d", "payload-" + key);
+          cache.Insert(key, "d", Shared("payload-" + key));
         }
         if (i % 100 == 99) cache.InvalidateDataset("d");
       }

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +22,11 @@ namespace {
 
 StopSignal NoStop() { return StopSignal(); }
 
+/// The test payloads as the shared responses the daemon publishes.
+SharedResponse Shared(std::string payload) {
+  return MakeSharedResponse(FrameType::kResultResponse, std::move(payload));
+}
+
 StopSignal StopOn(const CancellationToken* token) {
   return StopSignal(token, Deadline());
 }
@@ -35,10 +41,10 @@ TEST(RunCoalescerTest, FirstAttachLeadsLaterAttachesFollow) {
   RunCoalescer::Ticket other = coalescer.Attach("k2");
   EXPECT_EQ(other.role(), RunCoalescer::Role::kLeader);
 
-  coalescer.Publish(leader, "bytes");
+  coalescer.Publish(leader, Shared("bytes"));
   RunCoalescer::WaitResult waited = coalescer.Wait(&follower, NoStop());
   EXPECT_EQ(waited.outcome, RunCoalescer::WaitOutcome::kGotResult);
-  EXPECT_EQ(waited.payload, "bytes");
+  EXPECT_EQ(*waited.response.payload, "bytes");
   coalescer.Abandon(other);
 
   const RunCoalescer::Stats stats = coalescer.stats();
@@ -54,7 +60,7 @@ TEST(RunCoalescerTest, PublishRetiresTheFlight) {
   // results is the cache's job. After a publish the key starts fresh.
   RunCoalescer coalescer;
   RunCoalescer::Ticket first = coalescer.Attach("k");
-  coalescer.Publish(first, "bytes");
+  coalescer.Publish(first, Shared("bytes"));
   RunCoalescer::Ticket second = coalescer.Attach("k");
   EXPECT_EQ(second.role(), RunCoalescer::Role::kLeader);
   coalescer.Abandon(second);
@@ -77,10 +83,10 @@ TEST(RunCoalescerTest, ManyFollowersReceiveBitIdenticalPayload) {
       RunCoalescer::WaitResult waited =
           coalescer.Wait(&tickets[i], NoStop());
       EXPECT_EQ(waited.outcome, RunCoalescer::WaitOutcome::kGotResult);
-      received[i] = waited.payload;
+      received[i] = *waited.response.payload;
     });
   }
-  coalescer.Publish(leader, payload);
+  coalescer.Publish(leader, Shared(payload));
   for (std::thread& thread : threads) thread.join();
   for (const std::string& got : received) EXPECT_EQ(got, payload);
   EXPECT_EQ(coalescer.stats().shared, kFollowers);
@@ -114,10 +120,10 @@ TEST(RunCoalescerTest, AbandonPromotesExactlyOneFollower) {
       // this follower re-runs and publishes for the remaining waiter.
       EXPECT_EQ(ticket->role(), RunCoalescer::Role::kLeader);
       promoted.fetch_add(1);
-      coalescer.Publish(*ticket, payload);
+      coalescer.Publish(*ticket, Shared(payload));
     } else {
       EXPECT_EQ(waited.outcome, RunCoalescer::WaitOutcome::kGotResult);
-      EXPECT_EQ(waited.payload, payload);
+      EXPECT_EQ(*waited.response.payload, payload);
       got_result.fetch_add(1);
     }
   };
@@ -154,9 +160,9 @@ TEST(RunCoalescerTest, CancelledFollowerDetachesWithoutDisturbingLeader) {
   std::thread late_waiter([&] {
     RunCoalescer::WaitResult got = coalescer.Wait(&late, NoStop());
     EXPECT_EQ(got.outcome, RunCoalescer::WaitOutcome::kGotResult);
-    EXPECT_EQ(got.payload, "bytes");
+    EXPECT_EQ(*got.response.payload, "bytes");
   });
-  coalescer.Publish(leader, "bytes");
+  coalescer.Publish(leader, Shared("bytes"));
   late_waiter.join();
   EXPECT_EQ(coalescer.stats().shared, 1);
 }
@@ -179,7 +185,7 @@ TEST(RunCoalescerTest, StoppedFollowerDeclinesPromotion) {
 
   RunCoalescer::WaitResult waited = coalescer.Wait(&healthy, NoStop());
   EXPECT_EQ(waited.outcome, RunCoalescer::WaitOutcome::kPromoted);
-  coalescer.Publish(healthy, "bytes");
+  coalescer.Publish(healthy, Shared("bytes"));
   const RunCoalescer::Stats stats = coalescer.stats();
   EXPECT_EQ(stats.promotions, 1);
   EXPECT_EQ(stats.shared, 0);
@@ -223,14 +229,14 @@ TEST(RunCoalescerTest, RacingAttachesAlwaysConverge) {
         RunCoalescer::Ticket ticket = coalescer.Attach(key);
         for (;;) {
           if (ticket.role() == RunCoalescer::Role::kLeader) {
-            coalescer.Publish(ticket, payload);
+            coalescer.Publish(ticket, Shared(payload));
             delivered.fetch_add(1);
             return;
           }
           RunCoalescer::WaitResult waited =
               coalescer.Wait(&ticket, NoStop());
           if (waited.outcome == RunCoalescer::WaitOutcome::kGotResult) {
-            EXPECT_EQ(waited.payload, payload);
+            EXPECT_EQ(*waited.response.payload, payload);
             delivered.fetch_add(1);
             return;
           }

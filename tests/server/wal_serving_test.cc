@@ -1,6 +1,7 @@
 #include <dirent.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "data/dataset_io.h"
 #include "data/motivating_example.h"
 #include "data/wal.h"
+#include "obs/json.h"
 #include "server/client.h"
 #include "server/server.h"
 
@@ -243,6 +245,13 @@ TEST_F(WalServingTest, AckedDeltasSurviveDaemonRestart) {
     EXPECT_NE(stats.ValueOrDie().find("\"wal\""), std::string::npos);
     EXPECT_NE(stats.ValueOrDie().find("\"deltas_applied\""),
               std::string::npos);
+    // The answer above was this daemon's first run, so the cache holds
+    // exactly its payload.
+    obs::JsonValue stats_doc;
+    ASSERT_TRUE(obs::JsonValue::Parse(stats.ValueOrDie(), &stats_doc));
+    EXPECT_EQ(stats_doc.Find("cache")->Find("bytes")->int_value(),
+              static_cast<int64_t>(answer.ValueOrDie().raw_frame.size() -
+                                   kFrameHeaderBytes - kFrameTrailerBytes));
   }
 }
 

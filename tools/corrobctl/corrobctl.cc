@@ -210,7 +210,8 @@ Result<std::string> RenderStatus(const obs::JsonValue& stats,
   table.AddSeparator();
   if (const obs::JsonValue* cache = stats.Find("cache");
       cache != nullptr && cache->is_object()) {
-    for (const char* key : {"hits", "misses", "entries", "evictions"}) {
+    for (const char* key :
+         {"hits", "misses", "entries", "bytes", "evictions"}) {
       table.AddRow({std::string("cache.") + key,
                     std::to_string(IntField(*cache, key))});
     }
