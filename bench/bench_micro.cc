@@ -21,6 +21,7 @@
 #include "core/truth_finder.h"
 #include "core/two_estimate.h"
 #include "core/voting.h"
+#include "data/dataset_io.h"
 #include "synth/restaurant_sim.h"
 #include "synth/rumor_sim.h"
 #include "synth/synthetic.h"
@@ -243,6 +244,22 @@ BENCHMARK(BM_ApplyDelta)
     ->Arg(100000)
     ->Arg(400000)
     ->Unit(benchmark::kMillisecond);
+
+// Loading the 100k-fact x 10-source synthetic corpus from its CSV
+// text (3.2 MB, with a __truth__ column): tokenize, validate, fold the
+// vote log and lay out CSR/CSC. The text is made outside the timed
+// loop; this is the ingest corrobd runs at startup and on reload.
+void BM_ParseDatasetCsv(benchmark::State& state) {
+  const SyntheticDataset& data = SharedSynthetic(100000);
+  const std::string csv = DatasetToCsv(data.dataset, &data.truth);
+  for (auto _ : state) {
+    Result<LabeledDataset> loaded = ParseDatasetCsv(csv);
+    benchmark::DoNotOptimize(loaded);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(csv.size()));
+}
+BENCHMARK(BM_ParseDatasetCsv)->Unit(benchmark::kMillisecond);
 
 // CRC-32 over Arg bytes: a small frame, a page, and the 800,117-byte
 // hot_read corroborate response that every cache hit sends and every

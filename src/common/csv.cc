@@ -14,75 +14,79 @@
 
 namespace corrob {
 
-Result<CsvDocument> ParseCsv(std::string_view text, char delimiter) {
+CsvCursor::CsvCursor(std::string_view text, char delimiter)
+    : text_(text), delimiter_(delimiter) {
   // Strip a UTF-8 BOM; spreadsheet exports prepend one and it would
   // otherwise become part of the first header cell.
   constexpr std::string_view kUtf8Bom = "\xEF\xBB\xBF";
-  if (text.substr(0, kUtf8Bom.size()) == kUtf8Bom) {
-    text.remove_prefix(kUtf8Bom.size());
+  if (text_.substr(0, kUtf8Bom.size()) == kUtf8Bom) {
+    text_.remove_prefix(kUtf8Bom.size());
   }
-  CsvDocument doc;
-  std::vector<std::string> row;
-  std::string field;
-  bool in_quotes = false;
-  bool field_started = false;
-  bool row_started = false;
+}
 
-  auto end_field = [&]() {
-    row.push_back(std::move(field));
-    field.clear();
-    field_started = false;
-  };
-  auto end_row = [&]() {
-    end_field();
-    doc.rows.push_back(std::move(row));
-    row.clear();
-    row_started = false;
-  };
+Status CsvCursor::Next() {
+  cells_.clear();
+  unescaped_.clear();
+  while (true) {
+    CORROB_RETURN_NOT_OK(ReadCell());
+    if (done()) break;
+    const char c = text_[pos_++];
+    if (c == delimiter_) continue;
+    // Swallow the \n of \r\n; a bare \r also ends the row.
+    if (c == '\r' && !done() && text_[pos_] == '\n') ++pos_;
+    break;
+  }
+  return Status::OK();
+}
 
-  for (size_t i = 0; i < text.size(); ++i) {
-    char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field += c;
+Status CsvCursor::ReadCell() {
+  // A quoted cell's content is (begin, end) unescaped, then any text
+  // after the closing quote; an unquoted cell leaves end == begin.
+  const size_t begin = pos_;
+  size_t end = begin;
+  bool doubled = false;
+  if (!done() && text_[pos_] == '"') {
+    for (++pos_;; pos_ += 2) {
+      pos_ = text_.find('"', pos_);
+      if (pos_ == std::string_view::npos) {
+        pos_ = text_.size();
+        return Status::ParseError("unterminated quoted field at end of input");
       }
-      continue;
+      if (pos_ + 1 == text_.size() || text_[pos_ + 1] != '"') break;
+      doubled = true;
     }
+    end = pos_++;
+  }
+  const size_t tail = pos_;
+  for (; !done(); ++pos_) {
+    const char c = text_[pos_];
     if (c == '"') {
-      if (field_started && !field.empty()) {
-        return Status::ParseError("quote inside unquoted field at offset " +
-                                  std::to_string(i));
-      }
-      in_quotes = true;
-      field_started = true;
-      row_started = true;
-    } else if (c == delimiter) {
-      end_field();
-      row_started = true;
-    } else if (c == '\n') {
-      end_row();
-    } else if (c == '\r') {
-      // Swallow \r of \r\n; a bare \r also terminates the row.
-      end_row();
-      if (i + 1 < text.size() && text[i + 1] == '\n') ++i;
-    } else {
-      field += c;
-      field_started = true;
-      row_started = true;
+      return Status::ParseError("quote inside unquoted field at offset " +
+                                std::to_string(pos_));
     }
+    if (c == delimiter_ || c == '\n' || c == '\r') break;
   }
-  if (in_quotes) {
-    return Status::ParseError("unterminated quoted field at end of input");
+  if (end == begin || (!doubled && pos_ == tail)) {
+    cells_.push_back(end == begin ? text_.substr(begin, pos_ - begin)
+                                  : text_.substr(begin + 1, end - begin - 1));
+    return Status::OK();
   }
-  if (row_started || field_started || !row.empty()) {
-    end_row();
+  std::string& cell = unescaped_.emplace_back();
+  for (size_t i = begin + 1; i < end; ++i) {
+    cell += text_[i];
+    if (text_[i] == '"') ++i;  // the second of a doubled quote
+  }
+  cell.append(text_.substr(tail, pos_ - tail));
+  cells_.push_back(cell);
+  return Status::OK();
+}
+
+Result<CsvDocument> ParseCsv(std::string_view text, char delimiter) {
+  CsvCursor cursor(text, delimiter);
+  CsvDocument doc;
+  while (!cursor.done()) {
+    CORROB_RETURN_NOT_OK(cursor.Next());
+    doc.rows.emplace_back(cursor.cells().begin(), cursor.cells().end());
   }
   return doc;
 }

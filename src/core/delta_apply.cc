@@ -1,8 +1,6 @@
 #include "core/delta_apply.h"
 
-#include <algorithm>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "data/dataset_io.h"
@@ -85,24 +83,7 @@ Result<Dataset> ApplyDeltasToDataset(const Dataset& base,
     }
   }
 
-  // Last writer wins: the stable sort keeps each pair's writes in log
-  // order, and only the last of each run survives.
-  auto pair_of = [](const VoteEdit& edit) {
-    return std::pair(edit.fact, edit.source);
-  };
-  std::stable_sort(writes.begin(), writes.end(),
-                   [&](const VoteEdit& a, const VoteEdit& b) {
-                     return pair_of(a) < pair_of(b);
-                   });
-  std::vector<VoteEdit> edits;
-  edits.reserve(writes.size());
-  for (size_t i = 0; i < writes.size(); ++i) {
-    if (i + 1 < writes.size() && pair_of(writes[i]) == pair_of(writes[i + 1])) {
-      continue;
-    }
-    edits.push_back(writes[i]);
-  }
-  return base.WithEdits(sources.added(), facts.added(), edits);
+  return base.WithEdits(sources.added(), facts.added(), writes);
 }
 
 Result<Dataset> DatasetFromWalRecovery(const WalRecovery& recovery) {

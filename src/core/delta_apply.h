@@ -22,11 +22,12 @@ namespace corrob {
 /// deltas after a crash equals building from scratch with that prefix.
 ///
 /// The cost follows the batch, not the corpus's names: names resolve
-/// through the base's own index, the result shares the base's name
-/// tables unless the batch registers a name, and the vote arrays are
-/// copied with only the touched rows and columns merged
-/// (Dataset::WithEdits). The base is left untouched and stays
-/// readable from other threads throughout.
+/// through the base's own index, and the vote writes go to
+/// Dataset::WithEdits in log order. It folds them (last writer wins,
+/// the fold DatasetBuilder::Build() also runs), shares the base's name
+/// tables unless the batch registers a name, and copies the vote
+/// arrays with only the touched rows and columns merged. The base is
+/// left untouched and stays readable from other threads throughout.
 ///
 /// Semantics per record type:
 ///   kAddSource      registers the source (no-op when known)

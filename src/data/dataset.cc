@@ -150,25 +150,43 @@ std::string Dataset::SignatureKey(FactId f) const {
 
 Dataset Dataset::WithEdits(std::span<const std::string> new_sources,
                            std::span<const std::string> new_facts,
-                           std::span<const VoteEdit> edits) const {
+                           std::span<const VoteEdit> writes) const {
+  return Patched(ExtendNames(sources_, new_sources),
+                 ExtendNames(facts_, new_facts), writes);
+}
+
+Dataset Dataset::Patched(std::shared_ptr<const NameTable> source_names,
+                         std::shared_ptr<const NameTable> fact_names,
+                         std::span<const VoteEdit> writes) const {
   Dataset out;
-  out.sources_ = ExtendNames(sources_, new_sources);
-  out.facts_ = ExtendNames(facts_, new_facts);
+  out.sources_ = std::move(source_names);
+  out.facts_ = std::move(fact_names);
   const int32_t facts = out.num_facts();
   const int32_t sources = out.num_sources();
 
+  // Last writer wins: a stable order by (fact, source) keeps each
+  // pair's writes in log order, and only the last of each run
+  // survives. A log already in that order (a CSV load) is not copied.
+  const auto before = [](const VoteEdit& a, const VoteEdit& b) {
+    return std::pair(a.fact, a.source) < std::pair(b.fact, b.source);
+  };
+  std::vector<VoteEdit> sorted;
+  if (!std::is_sorted(writes.begin(), writes.end(), before)) {
+    sorted.assign(writes.begin(), writes.end());
+    std::stable_sort(sorted.begin(), sorted.end(), before);
+    writes = sorted;
+  }
+
   std::vector<Change> by_fact;
-  by_fact.reserve(edits.size());
+  by_fact.reserve(writes.size());
   int64_t votes = num_votes_;
-  for (size_t i = 0; i < edits.size(); ++i) {
-    const VoteEdit& edit = edits[i];
+  for (size_t i = 0; i < writes.size(); ++i) {
+    const VoteEdit& edit = writes[i];
     CORROB_CHECK(edit.fact >= 0 && edit.fact < facts && edit.source >= 0 &&
                  edit.source < sources)
         << "edit (fact " << edit.fact << ", source " << edit.source
         << ") out of range";
-    CORROB_CHECK(i == 0 || std::pair(edits[i - 1].fact, edits[i - 1].source) <
-                               std::pair(edit.fact, edit.source))
-        << "edits must be sorted by unique (fact, source)";
+    if (i + 1 < writes.size() && !before(edit, writes[i + 1])) continue;
     const Vote old = edit.fact < num_facts() ? GetVote(edit.source, edit.fact)
                                              : Vote::kNone;
     if (old == edit.vote) continue;
@@ -177,16 +195,17 @@ Dataset Dataset::WithEdits(std::span<const std::string> new_sources,
     by_fact.push_back(Change{edit.fact, edit.source, edit.vote, delta});
     votes += delta;
   }
-  std::vector<Change> by_source;
-  by_source.reserve(by_fact.size());
+
+  // One stable counting pass by source turns the (fact, source) order
+  // into (source, fact) order.
+  std::vector<size_t> next(static_cast<size_t>(sources) + 1, 0);
+  for (const Change& change : by_fact) ++next[change.col + 1];
+  for (int32_t s = 0; s < sources; ++s) next[s + 1] += next[s];
+  std::vector<Change> by_source(by_fact.size());
   for (const Change& change : by_fact) {
-    by_source.push_back(
-        Change{change.col, change.row, change.vote, change.delta});
+    by_source[next[change.col]++] =
+        Change{change.col, change.row, change.vote, change.delta};
   }
-  std::sort(by_source.begin(), by_source.end(),
-            [](const Change& a, const Change& b) {
-              return std::pair(a.row, a.col) < std::pair(b.row, b.col);
-            });
 
   PatchRows(fact_offsets_, fact_votes_, facts, by_fact, &out.fact_offsets_,
             &out.fact_votes_);
@@ -201,11 +220,7 @@ SourceId DatasetBuilder::AddSource(const std::string& name) {
 }
 
 FactId DatasetBuilder::AddFact(const std::string& name) {
-  const FactId id = facts_.Add(name);
-  if (id == static_cast<FactId>(votes_per_fact_.size())) {
-    votes_per_fact_.emplace_back();
-  }
-  return id;
+  return facts_.Add(name);
 }
 
 Status DatasetBuilder::SetVote(SourceId s, FactId f, Vote vote) {
@@ -219,26 +234,15 @@ Status DatasetBuilder::SetVote(SourceId s, FactId f, Vote vote) {
                               " out of range [0, " +
                               std::to_string(num_facts()) + ")");
   }
-  auto& row = votes_per_fact_[f];
-  auto it = std::find_if(row.begin(), row.end(),
-                         [s](const SourceVote& sv) { return sv.source == s; });
-  if (vote == Vote::kNone) {
-    if (it != row.end()) row.erase(it);
-    return Status::OK();
-  }
-  if (it != row.end()) {
-    it->vote = vote;  // Last writer wins.
-  } else {
-    row.push_back(SourceVote{s, vote});
-  }
+  log_.push_back(VoteEdit{f, s, vote});
   return Status::OK();
 }
 
 Vote DatasetBuilder::GetVote(SourceId s, FactId f) const {
   CORROB_CHECK(s >= 0 && s < num_sources()) << "source id out of range";
   CORROB_CHECK(f >= 0 && f < num_facts()) << "fact id out of range";
-  for (const SourceVote& sv : votes_per_fact_[static_cast<size_t>(f)]) {
-    if (sv.source == s) return sv.vote;
+  for (auto it = log_.rbegin(); it != log_.rend(); ++it) {
+    if (it->fact == f && it->source == s) return it->vote;
   }
   return Vote::kNone;
 }
@@ -251,54 +255,10 @@ void DatasetBuilder::SetVoteByName(const std::string& source,
 }
 
 Dataset DatasetBuilder::Build() {
-  Dataset out;
-  out.sources_ = std::make_shared<const NameTable>(std::move(sources_));
-  out.facts_ = std::make_shared<const NameTable>(std::move(facts_));
-  sources_ = NameTable();
-  facts_ = NameTable();
-
-  const int32_t facts = out.num_facts();
-  const int32_t sources = out.num_sources();
-
-  out.fact_offsets_.assign(static_cast<size_t>(facts) + 1, 0);
-  size_t total = 0;
-  for (int32_t f = 0; f < facts; ++f) {
-    auto& row = votes_per_fact_[f];
-    std::sort(row.begin(), row.end(),
-              [](const SourceVote& a, const SourceVote& b) {
-                return a.source < b.source;
-              });
-    out.fact_offsets_[f] = total;
-    total += row.size();
-  }
-  out.fact_offsets_[facts] = total;
-  out.num_votes_ = static_cast<int64_t>(total);
-
-  out.fact_votes_.reserve(total);
-  std::vector<size_t> per_source_count(static_cast<size_t>(sources), 0);
-  for (int32_t f = 0; f < facts; ++f) {
-    for (const SourceVote& sv : votes_per_fact_[f]) {
-      out.fact_votes_.push_back(sv);
-      ++per_source_count[static_cast<size_t>(sv.source)];
-    }
-  }
-
-  out.source_offsets_.assign(static_cast<size_t>(sources) + 1, 0);
-  for (int32_t s = 0; s < sources; ++s) {
-    out.source_offsets_[s + 1] = out.source_offsets_[s] + per_source_count[s];
-  }
-  out.source_votes_.resize(total);
-  std::vector<size_t> cursor(out.source_offsets_.begin(),
-                             out.source_offsets_.end() - 1);
-  for (int32_t f = 0; f < facts; ++f) {
-    for (const SourceVote& sv : votes_per_fact_[f]) {
-      out.source_votes_[cursor[static_cast<size_t>(sv.source)]++] =
-          FactVote{f, sv.vote};
-    }
-  }
-
-  votes_per_fact_.clear();
-  return out;
+  const std::vector<VoteEdit> log = std::exchange(log_, {});
+  return Dataset().Patched(
+      std::make_shared<const NameTable>(std::exchange(sources_, {})),
+      std::make_shared<const NameTable>(std::exchange(facts_, {})), log);
 }
 
 }  // namespace corrob

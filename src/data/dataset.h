@@ -101,24 +101,28 @@ class Dataset {
   /// group (paper §5.1).
   std::string SignatureKey(FactId f) const;
 
-  /// The dataset a DatasetBuilder would build from this dataset's
-  /// names, then `new_sources` and `new_facts` registered in order,
-  /// then this dataset's votes overwritten by `edits` — bit for bit,
-  /// without a rebuild. A name table that gains no name is shared with
-  /// this dataset; the CSR/CSC arrays are copied with only the touched
-  /// rows and columns merged, in O(votes + facts + sources + edits ·
-  /// log edits).
+  /// This dataset with `new_sources` and `new_facts` registered after
+  /// its names, then `writes` applied in log order: a later write to
+  /// the same (fact, source) wins; kNone erases. A name table that
+  /// gains no name is shared with this dataset; the CSR/CSC arrays are
+  /// copied with only the touched rows and columns merged, in
+  /// O(votes + facts + sources + writes · log writes) (a log already in
+  /// (fact, source) order is not sorted). The only CSR/CSC writer:
+  /// DatasetBuilder::Build() runs it on an empty dataset.
   ///
-  /// `edits` must be sorted by (fact, source), name each pair at most
-  /// once and use ids below the extended counts; `new_sources` and
-  /// `new_facts` must be distinct names unknown to this dataset. An
-  /// edit that matches the current vote changes nothing.
+  /// Writes must use ids below the extended counts; `new_sources` and
+  /// `new_facts` must be distinct names unknown to this dataset.
   Dataset WithEdits(std::span<const std::string> new_sources,
                     std::span<const std::string> new_facts,
-                    std::span<const VoteEdit> edits) const;
+                    std::span<const VoteEdit> writes) const;
 
  private:
   friend class DatasetBuilder;
+
+  /// WithEdits() once the successor's name tables are known.
+  Dataset Patched(std::shared_ptr<const NameTable> source_names,
+                  std::shared_ptr<const NameTable> fact_names,
+                  std::span<const VoteEdit> writes) const;
 
   std::shared_ptr<const NameTable> sources_;
   std::shared_ptr<const NameTable> facts_;
@@ -132,8 +136,9 @@ class Dataset {
 };
 
 /// Accumulates sources, facts and votes, then freezes them into a
-/// Dataset. Duplicate (source, fact) votes overwrite the earlier vote
-/// (last writer wins), mirroring how a re-crawl updates a listing.
+/// Dataset. Votes are an append-only write log that Build() folds:
+/// duplicate (source, fact) votes overwrite the earlier vote (last
+/// writer wins), mirroring how a re-crawl updates a listing.
 class DatasetBuilder {
  public:
   DatasetBuilder() = default;
@@ -152,21 +157,21 @@ class DatasetBuilder {
   void SetVoteByName(const std::string& source, const std::string& fact,
                      Vote vote);
 
-  /// The vote currently recorded for (s, f); kNone when unset.
-  /// Aborts on out-of-range ids.
+  /// The vote currently recorded for (s, f); kNone when unset. Scans
+  /// the log. Aborts on out-of-range ids.
   Vote GetVote(SourceId s, FactId f) const;
 
   int32_t num_sources() const { return sources_.size(); }
   int32_t num_facts() const { return facts_.size(); }
 
-  /// Freezes into an immutable Dataset. The builder is left empty.
+  /// Freezes into an immutable Dataset by folding the log into an empty
+  /// one (Dataset::WithEdits). The builder is left empty.
   Dataset Build();
 
  private:
   NameTable sources_;
   NameTable facts_;
-  // Per fact: source -> vote map kept small and flat.
-  std::vector<std::vector<SourceVote>> votes_per_fact_;
+  std::vector<VoteEdit> log_;  // every SetVote, in call order
 };
 
 }  // namespace corrob

@@ -1,5 +1,10 @@
 #include "data/dataset_io.h"
 
+#include <optional>
+#include <span>
+#include <string_view>
+#include <utility>
+
 #include "common/csv.h"
 #include "common/retry.h"
 #include "common/string_util.h"
@@ -12,52 +17,45 @@ namespace {
 
 constexpr char kTruthColumn[] = "__truth__";
 
-/// A fully validated data row, ready to commit into the builder. Rows
-/// are validated in their entirety before any mutation so that a
-/// lenient skip leaves no partial votes or misaligned truth labels.
-struct ParsedRow {
-  enum class Truth { kAbsent, kTrue, kFalse, kUnknown };
-  const std::string* fact = nullptr;
-  std::vector<std::pair<SourceId, Vote>> votes;
-  Truth truth = Truth::kAbsent;
-};
-
-Result<ParsedRow> ValidateRow(const std::vector<std::string>& row, size_t r,
-                              size_t header_size, size_t num_sources,
-                              bool has_truth) {
+/// Validates data row `r` in its entirety into `votes` (cleared first)
+/// and `truth` (nullopt for '?') before anything is committed to the
+/// builder, so that a lenient skip leaves no partial votes or labels.
+Status ValidateRow(std::span<const std::string_view> row, size_t r,
+                   size_t header_size, size_t num_sources, bool has_truth,
+                   std::vector<std::pair<SourceId, Vote>>* votes,
+                   std::optional<bool>* truth) {
   if (row.size() != header_size) {
     return Status::ParseError("row " + std::to_string(r) + " has " +
                               std::to_string(row.size()) +
                               " cells; header has " +
                               std::to_string(header_size));
   }
-  ParsedRow parsed;
-  parsed.fact = &row[0];
+  votes->clear();
   for (size_t c = 1; c <= num_sources; ++c) {
-    std::string cell(Trim(row[c]));
+    const std::string_view cell = Trim(row[c]);
     if (cell.empty() || cell == "-") continue;
     if (cell.size() != 1) {
-      return Status::ParseError("bad vote cell '" + cell + "' at row " +
-                                std::to_string(r));
+      return Status::ParseError("bad vote cell '" + std::string(cell) +
+                                "' at row " + std::to_string(r));
     }
     CORROB_ASSIGN_OR_RETURN(Vote vote, VoteFromChar(cell[0]));
     if (vote == Vote::kNone) continue;
-    parsed.votes.emplace_back(static_cast<SourceId>(c - 1), vote);
+    votes->emplace_back(static_cast<SourceId>(c - 1), vote);
   }
   if (has_truth) {
-    std::string cell = ToLower(Trim(row.back()));
+    const std::string cell = ToLower(Trim(row.back()));
     if (cell == "true" || cell == "1") {
-      parsed.truth = ParsedRow::Truth::kTrue;
+      *truth = true;
     } else if (cell == "false" || cell == "0") {
-      parsed.truth = ParsedRow::Truth::kFalse;
+      *truth = false;
     } else if (cell == "?") {
-      parsed.truth = ParsedRow::Truth::kUnknown;
+      *truth = std::nullopt;
     } else {
       return Status::ParseError("bad truth cell '" + cell + "' at row " +
                                 std::to_string(r));
     }
   }
-  return parsed;
+  return Status::OK();
 }
 
 }  // namespace
@@ -83,67 +81,66 @@ Result<LabeledDataset> ParseDatasetCsv(const std::string& text,
                                        const DatasetCsvOptions& options,
                                        ParseReport* report) {
   CORROB_TRACE_SPAN("ParseDatasetCsv");
-  CORROB_ASSIGN_OR_RETURN(CsvDocument doc, ParseCsv(text));
-  if (doc.rows.empty()) {
+  CsvCursor cursor(text);
+  if (cursor.done()) {
     return Status::ParseError("dataset CSV has no header row");
   }
-  const auto& header = doc.rows[0];
-  if (header.empty() || header[0] != "fact") {
+  CORROB_RETURN_NOT_OK(cursor.Next());
+  const std::span<const std::string_view> header = cursor.cells();
+  if (header[0] != "fact") {
     return Status::ParseError("dataset CSV must start with a 'fact' column");
   }
-  bool has_truth = !header.empty() && header.back() == kTruthColumn;
-  size_t num_sources = header.size() - 1 - (has_truth ? 1 : 0);
+  const size_t header_size = header.size();
+  const bool has_truth = header.back() == kTruthColumn;
+  const size_t num_sources = header_size - 1 - (has_truth ? 1 : 0);
   if (num_sources == 0) {
     return Status::ParseError("dataset CSV has no source columns");
   }
 
   DatasetBuilder builder;
   for (size_t c = 1; c <= num_sources; ++c) {
-    builder.AddSource(header[c]);
+    const std::string name(header[c]);
+    if (builder.AddSource(name) != static_cast<SourceId>(c - 1)) {
+      return Status::ParseError("dataset CSV header names source '" + name +
+                                "' twice");
+    }
   }
 
   ParseReport local_report;
-  std::vector<bool> truth_labels;
+  std::vector<bool> truth_labels;  // by fact id: a fact's last row wins
   bool truth_complete = has_truth;
+  std::vector<std::pair<SourceId, Vote>> votes;
+  std::optional<bool> truth;
   // Poll interval for cooperative cancellation: coarse enough that an
   // unarmed load pays one predictable branch per row, fine enough
   // that a Ctrl-C lands within a few thousand rows.
   constexpr size_t kCancelPollRows = 2048;
-  for (size_t r = 1; r < doc.rows.size(); ++r) {
+  for (size_t r = 1; !cursor.done(); ++r) {
     if (options.cancel != nullptr && r % kCancelPollRows == 0 &&
         options.cancel->cancelled()) {
       return Status::Cancelled("dataset CSV load cancelled after " +
                                std::to_string(local_report.rows_seen) +
                                " rows");
     }
-    const auto& row = doc.rows[r];
+    CORROB_RETURN_NOT_OK(cursor.Next());
+    const std::span<const std::string_view> row = cursor.cells();
     if (row.size() == 1 && row[0].empty()) continue;  // blank line
     ++local_report.rows_seen;
-    auto parsed =
-        ValidateRow(row, r, header.size(), num_sources, has_truth);
-    if (!parsed.ok()) {
-      if (!options.lenient) return parsed.status();
-      local_report.skipped.push_back({r, parsed.status().message()});
+    const Status valid = ValidateRow(row, r, header_size, num_sources,
+                                     has_truth, &votes, &truth);
+    if (!valid.ok()) {
+      if (!options.lenient) return valid;
+      local_report.skipped.push_back({r, valid.message()});
       continue;
     }
-    const ParsedRow& valid = parsed.ValueOrDie();
-    FactId f = builder.AddFact(*valid.fact);
-    for (const auto& [source, vote] : valid.votes) {
+    const FactId f = builder.AddFact(std::string(row[0]));
+    for (const auto& [source, vote] : votes) {
       CORROB_RETURN_NOT_OK(builder.SetVote(source, f, vote));
     }
-    switch (valid.truth) {
-      case ParsedRow::Truth::kAbsent:
-        break;
-      case ParsedRow::Truth::kTrue:
-        truth_labels.push_back(true);
-        break;
-      case ParsedRow::Truth::kFalse:
-        truth_labels.push_back(false);
-        break;
-      case ParsedRow::Truth::kUnknown:
-        truth_complete = false;
-        truth_labels.push_back(false);  // placeholder, dropped below
-        break;
+    if (has_truth) {
+      truth_labels.resize(static_cast<size_t>(builder.num_facts()));
+      truth_labels[static_cast<size_t>(f)] = truth.value_or(false);
+      truth_complete &= truth.has_value();  // a '?' drops the column
     }
     ++local_report.rows_loaded;
   }

@@ -1,5 +1,6 @@
 #include <array>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -101,8 +102,10 @@ template <typename T>
   limits.qps = qps.ValueOrDie();
   limits.burst = burst.ValueOrDie();
   limits.concurrent_slots = slots.ValueOrDie();
-  if (limits.qps < 0 || limits.burst < 0 || limits.concurrent_slots < 0) {
-    return Status::InvalidArgument("--tenant-quota values must be >= 0");
+  if (!(limits.qps >= 0) || !(limits.burst >= 0) || std::isinf(limits.qps) ||
+      std::isinf(limits.burst) || limits.concurrent_slots < 0) {
+    return Status::InvalidArgument(
+        "--tenant-quota values must be finite and >= 0");
   }
   *out = {tenant, limits};
   return Status::OK();
@@ -116,10 +119,16 @@ template <typename T>
     }
     return args[i + 1];
   };
-  // The value after flag i, parsed whole into `*out`.
-  const auto number = [&]<typename T>(size_t i, T* out) -> Status {
+  // The value after flag i, parsed whole into `*out`. It must be at
+  // least `min` and finite (from_chars accepts "nan" and "inf").
+  const auto number = [&]<typename T>(size_t i, T* out, int64_t min) {
     CORROB_ASSIGN_OR_RETURN(std::string value, needs_value(i));
     CORROB_ASSIGN_OR_RETURN(*out, ParseNumber<T>(args[i], value));
+    if (!(*out >= static_cast<T>(min)) || std::isinf(*out)) {
+      return Status::InvalidArgument(args[i] + ": '" + value +
+                                     "' is not a finite number >= " +
+                                     std::to_string(min));
+    }
     return Status::OK();
   };
   for (size_t i = 0; i < args.size(); ++i) {
@@ -132,7 +141,8 @@ template <typename T>
       flags->server.dataset_specs.push_back(spec);
       ++i;
     } else if (arg == "--max-concurrency") {
-      CORROB_RETURN_NOT_OK(number(i, &flags->server.admission.max_concurrency));
+      CORROB_RETURN_NOT_OK(
+          number(i, &flags->server.admission.max_concurrency, 1));
       ++i;
     } else if (arg == "--queue-capacity") {
       CORROB_ASSIGN_OR_RETURN(std::string value, needs_value(i));
@@ -157,27 +167,28 @@ template <typename T>
           &flags->server.admission.default_max_rounds));
       ++i;
     } else if (arg == "--threads") {
-      CORROB_RETURN_NOT_OK(number(i, &flags->server.run_threads));
+      CORROB_RETURN_NOT_OK(number(i, &flags->server.run_threads, 1));
       ++i;
     } else if (arg == "--drain-timeout-ms") {
-      CORROB_RETURN_NOT_OK(number(i, &flags->server.drain_timeout_ms));
+      CORROB_RETURN_NOT_OK(number(i, &flags->server.drain_timeout_ms, 0));
       ++i;
     } else if (arg == "--cache-entries") {
-      CORROB_RETURN_NOT_OK(number(i, &flags->server.cache.capacity_entries));
+      CORROB_RETURN_NOT_OK(number(i, &flags->server.cache.capacity_entries, 0));
       ++i;
     } else if (arg == "--cache-shards") {
-      CORROB_RETURN_NOT_OK(number(i, &flags->server.cache.shards));
+      CORROB_RETURN_NOT_OK(number(i, &flags->server.cache.shards, 1));
       ++i;
     } else if (arg == "--tenant-qps") {
-      CORROB_RETURN_NOT_OK(number(i, &flags->server.quota.default_limits.qps));
+      CORROB_RETURN_NOT_OK(
+          number(i, &flags->server.quota.default_limits.qps, 0));
       ++i;
     } else if (arg == "--tenant-burst") {
       CORROB_RETURN_NOT_OK(
-          number(i, &flags->server.quota.default_limits.burst));
+          number(i, &flags->server.quota.default_limits.burst, 0));
       ++i;
     } else if (arg == "--tenant-slots") {
       CORROB_RETURN_NOT_OK(
-          number(i, &flags->server.quota.default_limits.concurrent_slots));
+          number(i, &flags->server.quota.default_limits.concurrent_slots, 0));
       ++i;
     } else if (arg == "--tenant-quota") {
       CORROB_ASSIGN_OR_RETURN(std::string spec, needs_value(i));
@@ -191,17 +202,21 @@ template <typename T>
       flags->failpoints += spec;
       ++i;
     } else if (arg == "--flight-recorder-entries") {
-      CORROB_RETURN_NOT_OK(number(i, &flags->server.flight_recorder_entries));
+      CORROB_RETURN_NOT_OK(
+          number(i, &flags->server.flight_recorder_entries, 0));
       ++i;
     } else if (arg == "--slow-request-ms") {
-      CORROB_RETURN_NOT_OK(number(i, &flags->server.slow_request_ms));
+      CORROB_RETURN_NOT_OK(number(i, &flags->server.slow_request_ms, 0));
       ++i;
     } else if (arg == "--watchdog-interval-ms") {
-      CORROB_RETURN_NOT_OK(number(i, &flags->server.watchdog_interval_ms));
+      CORROB_RETURN_NOT_OK(number(i, &flags->server.watchdog_interval_ms, 0));
       ++i;
     } else if (arg == "--watchdog-multiplier") {
       CORROB_RETURN_NOT_OK(
-          number(i, &flags->server.watchdog_deadline_multiplier));
+          number(i, &flags->server.watchdog_deadline_multiplier, 0));
+      if (flags->server.watchdog_deadline_multiplier == 0) {
+        return Status::InvalidArgument("--watchdog-multiplier must be > 0");
+      }
       ++i;
     } else if (arg == "--wal") {
       CORROB_ASSIGN_OR_RETURN(flags->server.wal_dir, needs_value(i));
@@ -212,20 +227,11 @@ template <typename T>
                               ParseWalFsyncPolicy(value));
       ++i;
     } else if (arg == "--wal-fsync-interval") {
-      int64_t interval = 0;
-      CORROB_RETURN_NOT_OK(number(i, &interval));
-      if (interval <= 0) {
-        return Status::InvalidArgument("--wal-fsync-interval must be > 0");
-      }
-      flags->server.wal_fsync_interval_records = interval;
+      CORROB_RETURN_NOT_OK(
+          number(i, &flags->server.wal_fsync_interval_records, 1));
       ++i;
     } else if (arg == "--wal-segment-bytes") {
-      int64_t bytes = 0;
-      CORROB_RETURN_NOT_OK(number(i, &bytes));
-      if (bytes <= 0) {
-        return Status::InvalidArgument("--wal-segment-bytes must be > 0");
-      }
-      flags->server.wal_segment_bytes = bytes;
+      CORROB_RETURN_NOT_OK(number(i, &flags->server.wal_segment_bytes, 1));
       ++i;
     } else {
       return Status::InvalidArgument(

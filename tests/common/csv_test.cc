@@ -1,7 +1,11 @@
 #include "common/csv.h"
 
 #include <cstdio>
+#include <functional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -183,6 +187,144 @@ TEST(AtomicWriteTest, UnwritableDirectoryIsIoError) {
   Status status = WriteFileAtomic("/nonexistent/dir/file.txt", "x");
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kIoError);
+}
+
+/// The character-at-a-time parser CsvCursor replaced, kept as the
+/// reference its rules and error messages are pinned against.
+Result<CsvDocument> ReferenceParseCsv(std::string_view text, char delimiter) {
+  constexpr std::string_view kUtf8Bom = "\xEF\xBB\xBF";
+  if (text.substr(0, kUtf8Bom.size()) == kUtf8Bom) {
+    text.remove_prefix(kUtf8Bom.size());
+  }
+  CsvDocument doc;
+  std::vector<std::string> row;
+  std::string field;
+  bool in_quotes = false;
+  bool field_started = false;
+  bool row_started = false;
+  auto end_field = [&]() {
+    row.push_back(std::move(field));
+    field.clear();
+    field_started = false;
+  };
+  auto end_row = [&]() {
+    end_field();
+    doc.rows.push_back(std::move(row));
+    row.clear();
+    row_started = false;
+  };
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (in_quotes) {
+      if (c == '"') {
+        if (i + 1 < text.size() && text[i + 1] == '"') {
+          field += '"';
+          ++i;
+        } else {
+          in_quotes = false;
+        }
+      } else {
+        field += c;
+      }
+      continue;
+    }
+    if (c == '"') {
+      if (field_started && !field.empty()) {
+        return Status::ParseError("quote inside unquoted field at offset " +
+                                  std::to_string(i));
+      }
+      in_quotes = true;
+      field_started = true;
+      row_started = true;
+    } else if (c == delimiter) {
+      end_field();
+      row_started = true;
+    } else if (c == '\n') {
+      end_row();
+    } else if (c == '\r') {
+      end_row();
+      if (i + 1 < text.size() && text[i + 1] == '\n') ++i;
+    } else {
+      field += c;
+      field_started = true;
+      row_started = true;
+    }
+  }
+  if (in_quotes) {
+    return Status::ParseError("unterminated quoted field at end of input");
+  }
+  if (row_started || field_started || !row.empty()) end_row();
+  return doc;
+}
+
+TEST(CsvCursorTest, MatchesCharacterParserOnRandomText) {
+  // Property: over random text dense in quotes, delimiters and row
+  // ends, ParseCsv (the cursor) and the reference agree on every row
+  // or on the exact error.
+  Rng rng(0xC5F);
+  const std::string alphabet = "ab,;\"\"\n\r ";
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string text = trial % 7 == 0 ? "\xEF\xBB\xBF" : "";
+    const size_t length = rng.NextBelow(24);
+    for (size_t i = 0; i < length; ++i) {
+      text += alphabet[rng.NextBelow(alphabet.size())];
+    }
+    const char delimiter = trial % 5 == 0 ? ';' : ',';
+    const Result<CsvDocument> got = ParseCsv(text, delimiter);
+    const Result<CsvDocument> want = ReferenceParseCsv(text, delimiter);
+    ASSERT_EQ(got.status().ToString(), want.status().ToString())
+        << "trial " << trial;
+    if (want.ok()) {
+      EXPECT_EQ(got.ValueOrDie().rows, want.ValueOrDie().rows)
+          << "trial " << trial;
+    }
+  }
+}
+
+TEST(CsvCursorTest, CellsViewTheTextUnlessUnescaped) {
+  const std::string text = "a,\"b,c\",\"d\"\"e\",\"f\"g,\"\"\rh\n";
+  const auto in_text = [&](std::string_view cell) {
+    const std::less<const char*> less;
+    return !less(cell.data(), text.data()) &&
+           !less(text.data() + text.size(), cell.data() + cell.size());
+  };
+  CsvCursor cursor(text);
+  ASSERT_TRUE(cursor.Next().ok());
+  const std::span<const std::string_view> cells = cursor.cells();
+  ASSERT_EQ(cells.size(), 5u);
+  EXPECT_EQ(cells[0], "a");
+  EXPECT_EQ(cells[1], "b,c");
+  EXPECT_EQ(cells[2], "d\"e");
+  EXPECT_EQ(cells[3], "fg");
+  EXPECT_EQ(cells[4], "");
+  EXPECT_TRUE(in_text(cells[0]));
+  EXPECT_TRUE(in_text(cells[1]));
+  EXPECT_FALSE(in_text(cells[2]));  // doubled quote
+  EXPECT_FALSE(in_text(cells[3]));  // text after the closing quote
+  ASSERT_FALSE(cursor.done());
+  ASSERT_TRUE(cursor.Next().ok());  // a bare \r ended the first row
+  ASSERT_EQ(cursor.cells().size(), 1u);
+  EXPECT_EQ(cursor.cells()[0], "h");
+  EXPECT_TRUE(cursor.done());
+}
+
+TEST(CsvCursorTest, ManyUnescapedCellsInOneRowStayValid) {
+  // Each unescaped cell grows the row buffer; cells read earlier in
+  // the row must survive the growth.
+  std::string text;
+  std::vector<std::string> want;
+  for (int i = 0; i < 64; ++i) {
+    if (i > 0) text += ',';
+    text += "\"" + std::string(static_cast<size_t>(i), 'x') + "\"\"\"";
+    want.push_back(std::string(static_cast<size_t>(i), 'x') + "\"");
+  }
+  CsvCursor cursor(text);
+  ASSERT_TRUE(cursor.Next().ok());
+  ASSERT_EQ(cursor.cells().size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(cursor.cells()[i], want[i]) << "cell " << i;
+  }
+  EXPECT_TRUE(cursor.done());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "data/dataset_io.h"
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -182,6 +184,53 @@ TEST(DatasetIoTest, LenientStillRejectsBrokenHeader) {
                 .status()
                 .code(),
             StatusCode::kParseError);
+}
+
+TEST(DatasetIoTest, RepeatedFactRowKeepsTruthPerFact) {
+  // A fact repeated on a later row merges like its votes do: one
+  // label per fact, and the last row's label wins.
+  const std::string text =
+      "fact,s1,s2,__truth__\n"
+      "f0,T,F,true\n"
+      "f0,-,T,false\n"
+      "f1,T,-,true\n";
+  LabeledDataset loaded = ParseDatasetCsv(text).ValueOrDie();
+  ASSERT_EQ(loaded.dataset.num_facts(), 2);
+  EXPECT_EQ(loaded.dataset.GetVote(0, 0), Vote::kTrue);
+  EXPECT_EQ(loaded.dataset.GetVote(1, 0), Vote::kTrue);
+  ASSERT_TRUE(loaded.truth.has_value());
+  EXPECT_EQ(loaded.truth->num_facts(), loaded.dataset.num_facts());
+  EXPECT_EQ(loaded.truth->labels(), (std::vector<bool>{false, true}));
+
+  // A '?' on any row, even one a later row overrides, drops the truth.
+  LabeledDataset unknown =
+      ParseDatasetCsv(
+          "fact,s1,__truth__\nf0,T,?\nf1,T,true\nf0,F,true\n")
+          .ValueOrDie();
+  EXPECT_EQ(unknown.dataset.num_facts(), 2);
+  EXPECT_FALSE(unknown.truth.has_value());
+}
+
+TEST(DatasetIoTest, DuplicateSourceColumnIsParseError) {
+  const Result<LabeledDataset> loaded =
+      ParseDatasetCsv("fact,s1,s1\nf0,T,F\n");
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(loaded.status().message().find("'s1' twice"), std::string::npos);
+}
+
+TEST(DatasetIoTest, StrictModeReportsTheFirstErrorInTheFile) {
+  // Rows are tokenized as they are validated, so a bad row before a
+  // CSV syntax error is what a strict load reports, and vice versa.
+  EXPECT_NE(ParseDatasetCsv("fact,s1\nr1,TT\nr2,\"T\n")
+                .status()
+                .message()
+                .find("bad vote cell 'TT' at row 1"),
+            std::string::npos);
+  EXPECT_NE(ParseDatasetCsv("fact,s1\nr1,x\"T\nr2,Q\n")
+                .status()
+                .message()
+                .find("quote inside unquoted field"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -1,6 +1,15 @@
 #include "data/dataset.h"
 
+#include <map>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/random.h"
+#include "testing/property.h"
 
 namespace corrob {
 namespace {
@@ -150,6 +159,104 @@ TEST(DatasetTest, VoteCharConversions) {
   EXPECT_EQ(VoteFromChar('f').ValueOrDie(), Vote::kFalse);
   EXPECT_EQ(VoteFromChar('-').ValueOrDie(), Vote::kNone);
   EXPECT_FALSE(VoteFromChar('x').ok());
+}
+
+TEST(DatasetBuilderTest, BuildMatchesAnIndependentMapReference) {
+  // Random write logs against a std::map of (fact, source) -> vote:
+  // duplicate writes, kNone erasures and re-adds after an erase, facts
+  // and sources that never get a vote, and (the first log) an empty
+  // builder. Build() must agree with the map on names, the vote count
+  // and every CSR row and CSC column.
+  int log_index = 0;
+  proptest::ForEachSeed(0xB11D, 40, [&](uint64_t seed) {
+    Rng rng(seed);
+    DatasetBuilder builder;
+    std::vector<std::string> sources;
+    std::vector<std::string> facts;
+    std::map<std::pair<FactId, SourceId>, Vote> reference;
+    const auto write = [&](SourceId s, FactId f, Vote vote) {
+      ASSERT_TRUE(builder.SetVote(s, f, vote).ok());
+      if (vote == Vote::kNone) {
+        reference.erase({f, s});
+      } else {
+        reference[{f, s}] = vote;
+      }
+    };
+    const auto random_vote = [&] {
+      constexpr Vote kVotes[] = {Vote::kTrue, Vote::kFalse, Vote::kNone};
+      return kVotes[rng.NextBelow(3)];
+    };
+    const int ops =
+        log_index++ == 0 ? 0 : static_cast<int>(rng.UniformInt(1, 300));
+    for (int op = 0; op < ops; ++op) {
+      const uint64_t kind = rng.NextBelow(10);
+      if (kind == 0 || sources.empty()) {
+        sources.push_back("s" + std::to_string(sources.size()));
+        ASSERT_EQ(builder.AddSource(sources.back()),
+                  static_cast<SourceId>(sources.size() - 1));
+      } else if (kind == 1 || facts.empty()) {
+        facts.push_back("f" + std::to_string(facts.size()));
+        ASSERT_EQ(builder.AddFact(facts.back()),
+                  static_cast<FactId>(facts.size() - 1));
+      } else if (kind == 2) {
+        // Re-registering a known name changes nothing.
+        const size_t f = rng.NextBelow(facts.size());
+        ASSERT_EQ(builder.AddFact(facts[f]), static_cast<FactId>(f));
+      } else {
+        const auto s = static_cast<SourceId>(rng.NextBelow(sources.size()));
+        const auto f = static_cast<FactId>(rng.NextBelow(facts.size()));
+        const Vote vote = random_vote();
+        write(s, f, vote);
+        if (kind == 3) write(s, f, vote);  // duplicate write
+        if (kind == 4) {                   // erase, then re-add
+          write(s, f, Vote::kNone);
+          write(s, f, rng.Bernoulli(0.5) ? Vote::kTrue : Vote::kFalse);
+        }
+      }
+    }
+    if (ops > 0) {  // a source and a fact that never get a vote
+      sources.push_back("s" + std::to_string(sources.size()));
+      builder.AddSource(sources.back());
+      facts.push_back("f" + std::to_string(facts.size()));
+      builder.AddFact(facts.back());
+    }
+    for (const auto& [pair, vote] : reference) {
+      EXPECT_EQ(builder.GetVote(pair.second, pair.first), vote);
+    }
+
+    const Dataset dataset = builder.Build();
+    EXPECT_EQ(builder.num_sources(), 0);
+    EXPECT_EQ(builder.num_facts(), 0);
+    ASSERT_EQ(dataset.num_sources(), static_cast<int32_t>(sources.size()));
+    ASSERT_EQ(dataset.num_facts(), static_cast<int32_t>(facts.size()));
+    for (SourceId s = 0; s < dataset.num_sources(); ++s) {
+      EXPECT_EQ(dataset.source_name(s), sources[static_cast<size_t>(s)]);
+    }
+    for (FactId f = 0; f < dataset.num_facts(); ++f) {
+      EXPECT_EQ(dataset.fact_name(f), facts[static_cast<size_t>(f)]);
+    }
+    EXPECT_EQ(dataset.num_votes(), static_cast<int64_t>(reference.size()));
+
+    std::vector<std::vector<SourceVote>> rows(facts.size());
+    std::vector<std::vector<FactVote>> columns(sources.size());
+    for (const auto& [pair, vote] : reference) {  // (fact, source) order
+      rows[static_cast<size_t>(pair.first)].push_back({pair.second, vote});
+      columns[static_cast<size_t>(pair.second)].push_back({pair.first, vote});
+    }
+    for (FactId f = 0; f < dataset.num_facts(); ++f) {
+      const std::span<const SourceVote> got = dataset.VotesOnFact(f);
+      EXPECT_EQ(std::vector<SourceVote>(got.begin(), got.end()),
+                rows[static_cast<size_t>(f)])
+          << "fact " << f;
+    }
+    for (SourceId s = 0; s < dataset.num_sources(); ++s) {
+      const std::span<const FactVote> got = dataset.VotesBySource(s);
+      EXPECT_EQ(std::vector<FactVote>(got.begin(), got.end()),
+                columns[static_cast<size_t>(s)])
+          << "source " << s;
+    }
+  });
+  EXPECT_EQ(log_index, 40);
 }
 
 }  // namespace

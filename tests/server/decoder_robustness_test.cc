@@ -15,15 +15,16 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "core/online_checkpoint.h"
+#include "data/dataset_io.h"
 #include "data/wal.h"
 #include "server/frame.h"
 #include "server/protocol.h"
 #include "testing/property.h"
 
 // Seeded robustness sweep over every decoder that reads untrusted
-// bytes: CRB1 frames, each protocol payload, online checkpoints, and
-// WAL recovery of a segment and of a snapshot. Each valid sample is
-// mutated three ways:
+// bytes: CRB1 frames, each protocol payload, online checkpoints, WAL
+// recovery of a segment and of a snapshot, and dataset CSV. Each valid
+// sample is mutated three ways:
 //   - every strict prefix;
 //   - seeded random byte flips;
 //   - every 4-byte window forced to 0xFFFFFFFF, which covers every
@@ -229,6 +230,37 @@ TEST(DecoderRobustnessTest, Checkpoints) {
          {SerializeOnlineSnapshot(SampleCorroborator()),
           SerializeOnlineSnapshot(OnlineCorroborator())},
          true, reseal});
+}
+
+TEST(DecoderRobustnessTest, DatasetCsv) {
+  // BOM, CRLF and LF rows, a quoted header cell, a doubled quote, a
+  // blank line, a repeated fact, padded lower-case votes and no final
+  // newline.
+  const std::string fixture =
+      "\xEF\xBB\xBF"
+      "fact,s1,\"s,2\",s3,__truth__\r\n"
+      "r1,T,-,F,true\r\n"
+      "\"r \"\"2\"\"\",F,T,,false\n"
+      "\n"
+      "r1,-,T,T,1\n"
+      "r3, t ,f,-,0";
+  for (const bool lenient : {false, true}) {
+    SCOPED_TRACE(lenient ? "lenient" : "strict");
+    DatasetCsvOptions options;
+    options.lenient = lenient;
+    const auto decode = [options](std::string_view bytes) {
+      return ParseDatasetCsv(std::string(bytes), options).status();
+    };
+    // A prefix that ends between rows is a valid, shorter dataset.
+    Sweep({"dataset csv", decode, {fixture}, false, nullptr});
+    for (size_t at = 0; at <= fixture.size(); ++at) {
+      for (const char injected : {'"', '\r'}) {
+        std::string mutant = fixture;
+        mutant.insert(at, 1, injected);
+        ExpectTyped(decode(mutant), "injected at " + std::to_string(at));
+      }
+    }
+  }
 }
 
 /// Fresh WAL directory per test; InspectWal reads what each mutant
