@@ -10,6 +10,7 @@
 #include "common/crc32.h"
 #include "common/failpoint.h"
 #include "core/bayes_estimate.h"
+#include "core/cosine.h"
 #include "core/delta_apply.h"
 #include "core/run_context.h"
 #include "obs/metrics.h"
@@ -176,6 +177,19 @@ void BM_TruthFinderScaling(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100000);
 }
 BENCHMARK(BM_TruthFinderScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_CosineScaling(benchmark::State& state) {
+  const SyntheticDataset& data = SharedSynthetic(100000);
+  CosineOptions options;
+  options.num_threads = static_cast<int>(state.range(0));
+  CosineCorroborator cosine(options);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cosine.Run(data.dataset).ValueOrDie());
+  }
+  state.SetItemsProcessed(state.iterations() * 100000);
+}
+BENCHMARK(BM_CosineScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 void BM_IncEstHeuFull(benchmark::State& state) {

@@ -10,9 +10,10 @@
 
 namespace corrob {
 
-/// Sweep view over a Dataset, shared by the iterative corroborators'
-/// hot loops (the trust-propagation sweeps of TwoEstimate,
-/// ThreeEstimate, TruthFinder and Cosine). The sweeps read the votes
+/// Sweep view over a Dataset for the trust fixpoint's hot loops. The
+/// sweeps' only caller is the driver in core/fixpoint.h, which
+/// TwoEstimate, ThreeEstimate, TruthFinder and Cosine run through
+/// (IncEstimate uses MakeSweepPool only). The sweeps read the votes
 /// in place through Dataset::VotesOnFact / Dataset::VotesBySource;
 /// this view only partitions the fact and source id ranges across a
 /// pool and sizes the arrays those sweeps read.
@@ -38,10 +39,9 @@ class VoteMatrix {
   ///
   /// `stop` (optional) is polled at chunk boundaries; a fired signal
   /// skips the remaining chunks and the sweep returns false. The
-  /// partial sweep's writes are then inconsistent — callers restore a
-  /// snapshot before exposing any state (see the iterative
-  /// corroborators' best-so-far handling). Returns true when the
-  /// sweep covered every id.
+  /// partial sweep's writes are then inconsistent — the driver
+  /// restores its snapshot before exposing any state (see
+  /// RunTrustFixpoint). Returns true when the sweep covered every id.
   bool ForEachFact(ThreadPool* pool, const std::function<void(FactId)>& fn,
                    const StopSignal* stop = nullptr) const;
   bool ForEachSource(ThreadPool* pool,

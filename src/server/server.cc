@@ -107,6 +107,17 @@ bool IsShareableTermination(uint8_t termination) {
   return false;
 }
 
+/// The ErrorResponse frame that reports `status` to the client.
+Frame ErrorFrame(const Status& status) {
+  ErrorResponse body;
+  body.code = static_cast<uint8_t>(status.code());
+  body.message = status.message();
+  Frame frame;
+  frame.type = FrameType::kErrorResponse;
+  frame.payload = EncodeErrorResponse(body);
+  return frame;
+}
+
 }  // namespace
 
 /// Per-connection state. The owning thread is the only reader of the
@@ -262,20 +273,43 @@ Status CorrobdServer::ReloadDataset(ServedDataset* served) {
   }
   CORROB_ASSIGN_OR_RETURN(LabeledDataset loaded,
                           LoadDatasetCsv(served->path));
-  std::shared_ptr<const Dataset> retired =
-      std::make_shared<const Dataset>(std::move(loaded.dataset));
+  PublishGeneration(served,
+                    std::make_shared<const Dataset>(std::move(loaded.dataset)));
+  return Status::OK();
+}
+
+void CorrobdServer::PublishGeneration(ServedDataset* served,
+                                      std::shared_ptr<const Dataset> next) {
   {
     std::lock_guard<std::mutex> lock(served->mutex);
-    served->dataset.swap(retired);
+    served->dataset.swap(next);
     served->generation.fetch_add(1, std::memory_order_release);
   }
-  // Free the old generation after the unlock: its destructor must not
-  // run inside the lock every read snapshots under.
-  retired.reset();
+  // Free the old generation (now held by `next`) after the unlock: its
+  // destructor must not run inside the lock every read snapshots
+  // under.
+  next.reset();
   // Old-generation keys can never match again (the generation is in
   // the key); the scan just frees their memory eagerly.
   cache_->InvalidateDataset(served->name);
-  return Status::OK();
+}
+
+obs::JsonValue CorrobdServer::WatchdogJson() const {
+  obs::JsonValue watchdog = obs::JsonValue::Object();
+  watchdog.Set("scans", obs::JsonValue::Int(
+                            watchdog_scans_.load(std::memory_order_relaxed)));
+  watchdog.Set("flagged", obs::JsonValue::Int(watchdog_flagged_.load(
+                              std::memory_order_relaxed)));
+  watchdog.Set("stuck", obs::JsonValue::Int(recorder_->stuck_now()));
+  return watchdog;
+}
+
+Status CorrobdServer::CountResponse(Status written) {
+  if (written.ok()) {
+    responses_sent_.fetch_add(1, std::memory_order_relaxed);
+    ServerMetrics::Get().responses_sent->Add(1);
+  }
+  return written;
 }
 
 StopSignal CorrobdServer::WriteStop() const {
@@ -441,13 +475,9 @@ void CorrobdServer::RunConnection(Connection* connection) {
       // Framing is broken (bad magic, checksum, oversize, I/O error):
       // report the typed error if the pipe still works, then close —
       // the stream can no longer be trusted to be frame-aligned.
-      Frame error;
-      error.type = FrameType::kErrorResponse;
-      ErrorResponse body;
-      body.code = static_cast<uint8_t>(next.status().code());
-      body.message = next.status().message();
-      error.payload = EncodeErrorResponse(body);
-      (void)WriteFrame(connection->fd.get(), error, WriteStop());  // lint: discard-ok: already closing on error
+      // lint: discard-ok: already closing on error
+      (void)WriteFrame(connection->fd.get(), ErrorFrame(next.status()),
+                       WriteStop());
       break;
     }
     if (!next.ValueOrDie().has_value()) break;  // clean goodbye
@@ -465,12 +495,8 @@ Status CorrobdServer::HandleFrame(Connection* connection, FrameType type,
       Frame pong;
       pong.type = FrameType::kPongResponse;
       pong.payload = payload;  // echo
-      Status written = WriteFrame(connection->fd.get(), pong, WriteStop());
-      if (written.ok()) {
-        responses_sent_.fetch_add(1, std::memory_order_relaxed);
-        ServerMetrics::Get().responses_sent->Add(1);
-      }
-      return written;
+      return CountResponse(
+          WriteFrame(connection->fd.get(), pong, WriteStop()));
     }
     case FrameType::kStatsRequest:
       return HandleStats(connection);
@@ -487,19 +513,12 @@ Status CorrobdServer::HandleFrame(Connection* connection, FrameType type,
     default: {
       // A response type arriving at the server: answer in-band and
       // keep the connection (framing itself is intact).
-      Frame error;
-      error.type = FrameType::kErrorResponse;
-      ErrorResponse body;
-      body.code = static_cast<uint8_t>(StatusCode::kInvalidArgument);
-      body.message = "server cannot handle frame type '" +
-                     std::string(FrameTypeName(type)) + "'";
-      error.payload = EncodeErrorResponse(body);
-      Status written = WriteFrame(connection->fd.get(), error, WriteStop());
-      if (written.ok()) {
-        responses_sent_.fetch_add(1, std::memory_order_relaxed);
-        ServerMetrics::Get().responses_sent->Add(1);
-      }
-      return written;
+      return CountResponse(WriteFrame(
+          connection->fd.get(),
+          ErrorFrame(Status::InvalidArgument(
+              "server cannot handle frame type '" +
+              std::string(FrameTypeName(type)) + "'")),
+          WriteStop()));
     }
   }
 }
@@ -578,25 +597,13 @@ Status CorrobdServer::HandleStats(Connection* connection) {
   recorder_json.Set("slow", obs::JsonValue::Int(recorder.slow));
   stats.Set("recorder", std::move(recorder_json));
 
-  obs::JsonValue watchdog_json = obs::JsonValue::Object();
-  watchdog_json.Set("scans",
-                    obs::JsonValue::Int(watchdog_scans_.load(
-                        std::memory_order_relaxed)));
-  watchdog_json.Set("flagged",
-                    obs::JsonValue::Int(watchdog_flagged_.load(
-                        std::memory_order_relaxed)));
-  watchdog_json.Set("stuck", obs::JsonValue::Int(recorder_->stuck_now()));
-  stats.Set("watchdog", std::move(watchdog_json));
+  stats.Set("watchdog", WatchdogJson());
 
   Frame response;
   response.type = FrameType::kStatsResponse;
   response.payload = stats.Dump();
-  Status written = WriteFrame(connection->fd.get(), response, WriteStop());
-  if (written.ok()) {
-    responses_sent_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().responses_sent->Add(1);
-  }
-  return written;
+  return CountResponse(
+      WriteFrame(connection->fd.get(), response, WriteStop()));
 }
 
 Status CorrobdServer::HandleIntrospect(Connection* connection,
@@ -604,11 +611,7 @@ Status CorrobdServer::HandleIntrospect(Connection* connection,
   Frame response;
   Result<IntrospectRequest> decoded = DecodeIntrospectRequest(payload);
   if (!decoded.ok()) {
-    response.type = FrameType::kErrorResponse;
-    ErrorResponse body;
-    body.code = static_cast<uint8_t>(decoded.status().code());
-    body.message = decoded.status().message();
-    response.payload = EncodeErrorResponse(body);
+    response = ErrorFrame(decoded.status());
     ServerMetrics::Get().requests_failed->Add(1);
   } else {
     const IntrospectRequest& request = decoded.ValueOrDie();
@@ -644,15 +647,7 @@ Status CorrobdServer::HandleIntrospect(Connection* connection,
 
     doc.Set("recorder", recorder_->SnapshotJson(top_k, max_recent));
 
-    obs::JsonValue watchdog = obs::JsonValue::Object();
-    watchdog.Set("scans",
-                 obs::JsonValue::Int(watchdog_scans_.load(
-                     std::memory_order_relaxed)));
-    watchdog.Set("flagged",
-                 obs::JsonValue::Int(watchdog_flagged_.load(
-                     std::memory_order_relaxed)));
-    watchdog.Set("stuck", obs::JsonValue::Int(recorder_->stuck_now()));
-    doc.Set("watchdog", std::move(watchdog));
+    doc.Set("watchdog", WatchdogJson());
 
     doc.Set("metrics", obs::MetricsRegistry::Global().Snapshot().ToJson());
 
@@ -660,12 +655,8 @@ Status CorrobdServer::HandleIntrospect(Connection* connection,
     response.payload = doc.Dump();
   }
 
-  Status written = WriteFrame(connection->fd.get(), response, WriteStop());
-  if (written.ok()) {
-    responses_sent_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().responses_sent->Add(1);
-  }
-  return written;
+  return CountResponse(
+      WriteFrame(connection->fd.get(), response, WriteStop()));
 }
 
 SharedResponse CorrobdServer::ExecuteOne(
@@ -717,11 +708,8 @@ SharedResponse CorrobdServer::ExecuteOne(
   };
 
   const auto fail = [&](const Status& status) {
-    ErrorResponse body;
-    body.code = static_cast<uint8_t>(status.code());
-    body.message = status.message();
     out = MakeSharedResponse(FrameType::kErrorResponse,
-                             EncodeErrorResponse(body));
+                             ErrorFrame(status).payload);
     metrics.requests_failed->Add(1);
     finish_record("error");
   };
@@ -959,11 +947,8 @@ Status CorrobdServer::HandleCorroborate(Connection* connection,
   std::string_view request_id;
   Result<CorroborateRequest> decoded = DecodeCorroborateRequest(payload);
   if (!decoded.ok()) {
-    ErrorResponse body;
-    body.code = static_cast<uint8_t>(decoded.status().code());
-    body.message = decoded.status().message();
     response = MakeSharedResponse(FrameType::kErrorResponse,
-                                  EncodeErrorResponse(body));
+                                  ErrorFrame(decoded.status()).payload);
     ServerMetrics::Get().requests_failed->Add(1);
   } else {
     const CorroborateRequest& request = decoded.ValueOrDie();
@@ -982,13 +967,8 @@ Status CorrobdServer::HandleCorroborate(Connection* connection,
 
   // After the cache/coalescer: the shared canonical payload stays
   // id-free; only this client's frame carries the echo.
-  Status written = WriteSharedResponse(connection->fd.get(), response,
-                                       request_id, WriteStop());
-  if (written.ok()) {
-    responses_sent_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().responses_sent->Add(1);
-  }
-  return written;
+  return CountResponse(WriteSharedResponse(connection->fd.get(), response,
+                                           request_id, WriteStop()));
 }
 
 Status CorrobdServer::HandleBatch(Connection* connection,
@@ -996,11 +976,7 @@ Status CorrobdServer::HandleBatch(Connection* connection,
   Frame response;
   Result<BatchRequest> decoded = DecodeBatchRequest(payload);
   if (!decoded.ok()) {
-    response.type = FrameType::kErrorResponse;
-    ErrorResponse body;
-    body.code = static_cast<uint8_t>(decoded.status().code());
-    body.message = decoded.status().message();
-    response.payload = EncodeErrorResponse(body);
+    response = ErrorFrame(decoded.status());
     ServerMetrics::Get().requests_failed->Add(1);
   } else {
     const BatchRequest& request = decoded.ValueOrDie();
@@ -1040,23 +1016,15 @@ Status CorrobdServer::HandleBatch(Connection* connection,
     }
   }
 
-  Status written = WriteFrame(connection->fd.get(), response, WriteStop());
-  if (written.ok()) {
-    responses_sent_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().responses_sent->Add(1);
-  }
-  return written;
+  return CountResponse(
+      WriteFrame(connection->fd.get(), response, WriteStop()));
 }
 
 Status CorrobdServer::HandleReload(Connection* connection,
                                    const std::string& payload) {
   Frame response;
   const auto respond_error = [&](const Status& status) {
-    response.type = FrameType::kErrorResponse;
-    ErrorResponse body;
-    body.code = static_cast<uint8_t>(status.code());
-    body.message = status.message();
-    response.payload = EncodeErrorResponse(body);
+    response = ErrorFrame(status);
     ServerMetrics::Get().requests_failed->Add(1);
   };
 
@@ -1098,23 +1066,15 @@ Status CorrobdServer::HandleReload(Connection* connection,
     }
   }
 
-  Status written = WriteFrame(connection->fd.get(), response, WriteStop());
-  if (written.ok()) {
-    responses_sent_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().responses_sent->Add(1);
-  }
-  return written;
+  return CountResponse(
+      WriteFrame(connection->fd.get(), response, WriteStop()));
 }
 
 Status CorrobdServer::HandleApplyDelta(Connection* connection,
                                        const std::string& payload) {
   Frame response;
   const auto respond_error = [&](const Status& status) {
-    response.type = FrameType::kErrorResponse;
-    ErrorResponse body;
-    body.code = static_cast<uint8_t>(status.code());
-    body.message = status.message();
-    response.payload = EncodeErrorResponse(body);
+    response = ErrorFrame(status);
     ServerMetrics::Get().requests_failed->Add(1);
   };
 
@@ -1183,19 +1143,11 @@ Status CorrobdServer::HandleApplyDelta(Connection* connection,
       if (!applied.ok()) {
         respond_error(applied);
       } else {
-        std::shared_ptr<const Dataset> retired =
-            std::make_shared<const Dataset>(std::move(next).ValueOrDie());
-        {
-          std::lock_guard<std::mutex> lock(served->mutex);
-          served->dataset.swap(retired);
-          served->generation.fetch_add(1, std::memory_order_release);
-        }
-        // Free the old generation (held by `retired` and `current`)
-        // after the unlock: its destructor must not run inside the lock
-        // every read snapshots under.
-        retired.reset();
+        // Drop this request's reference first, so PublishGeneration
+        // frees the old generation after its unlock.
         current.reset();
-        cache_->InvalidateDataset(served->name);
+        PublishGeneration(served, std::make_shared<const Dataset>(
+                                      std::move(next).ValueOrDie()));
         served->deltas_applied.fetch_add(request.deltas.size(),
                                          std::memory_order_relaxed);
         ServerMetrics::Get().deltas_applied->Add(
@@ -1210,12 +1162,8 @@ Status CorrobdServer::HandleApplyDelta(Connection* connection,
     }
   }
 
-  Status written = WriteFrame(connection->fd.get(), response, WriteStop());
-  if (written.ok()) {
-    responses_sent_.fetch_add(1, std::memory_order_relaxed);
-    ServerMetrics::Get().responses_sent->Add(1);
-  }
-  return written;
+  return CountResponse(
+      WriteFrame(connection->fd.get(), response, WriteStop()));
 }
 
 }  // namespace server

@@ -20,6 +20,7 @@
 #include "data/wal.h"
 #include "obs/clock.h"
 #include "obs/flight_recorder.h"
+#include "obs/json.h"
 #include "server/admission.h"
 #include "server/cache.h"
 #include "server/coalesce.h"
@@ -255,6 +256,22 @@ class CorrobdServer {
   /// state is CSV + replayed log, and swapping in the raw CSV would
   /// make live serving diverge from what the next restart replays.
   [[nodiscard]] Status ReloadDataset(ServedDataset* served);
+
+  /// Makes `next` the dataset's live generation: swaps it in under
+  /// served->mutex, bumps the generation, frees the old generation
+  /// after the unlock and drops the dataset's cached results. The
+  /// caller serializes mutators (wal_mutex for apply-delta).
+  void PublishGeneration(ServedDataset* served,
+                         std::shared_ptr<const Dataset> next);
+
+  /// Every response write returns through here: counts the response
+  /// in responses_sent and corrobd.responses.sent only when
+  /// `written` is OK, then returns it.
+  [[nodiscard]] Status CountResponse(Status written);
+
+  /// The watchdog counters shared by the stats and introspect
+  /// documents.
+  [[nodiscard]] obs::JsonValue WatchdogJson() const;
 
   /// Background loop that cancels the request token of any executing
   /// request whose client closed its end of the socket.
