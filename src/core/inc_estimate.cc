@@ -40,24 +40,6 @@ std::string RenderSignature(const Dataset& dataset,
   return out;
 }
 
-const char* RoundKindName(IncRoundInfo::Kind kind) {
-  switch (kind) {
-    case IncRoundInfo::Kind::kBalanced:
-      return "balanced";
-    case IncRoundInfo::Kind::kGreedy:
-      return "greedy";
-    case IncRoundInfo::Kind::kOneSidedPositive:
-      return "one_sided_positive";
-    case IncRoundInfo::Kind::kOneSidedNegative:
-      return "one_sided_negative";
-    case IncRoundInfo::Kind::kFinalTies:
-      return "final_ties";
-    case IncRoundInfo::Kind::kInterrupted:
-      return "interrupted";
-  }
-  return "?";
-}
-
 }  // namespace
 
 IncrementalEngine::IncrementalEngine(const Dataset& dataset,
@@ -357,14 +339,45 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
       MaybeStartTelemetry(options_.collect_telemetry, name(), dataset);
 
   int round = 0;
-  // Telemetry: one event per time point, pushed after EndRound so the
-  // recorded trust distribution is the post-round σ_i(S).
-  auto record_round = [&](obs::IncRoundEvent event) {
+  // The one round-end path: EndRound turns the time point's commits
+  // into trust, then the round's telemetry record is pushed with the
+  // post-round σ_i(S). Only balanced rounds commit on two sides and
+  // pass the paper's per-side n; for every other kind n is the whole
+  // commit.
+  auto end_round = [&](const char* kind, int64_t committed,
+                       obs::IncRoundEvent event = {}, int64_t n = 0) {
+    engine.EndRound(committed);
     if (telemetry == nullptr) return;
     event.round = round;
+    event.kind = kind;
+    event.committed_n = n > 0 ? n : committed;
+    event.facts_committed = committed;
     obs::TrustDistribution(engine.trust(), &event.trust_min,
                            &event.trust_mean, &event.trust_max);
     telemetry->rounds.push_back(std::move(event));
+  };
+  // Telemetry readout of one selected side, taken before the commit so
+  // |FG| is the group's remaining size at selection time.
+  auto describe_side = [&](bool positive, int32_t g, double delta_h,
+                           obs::IncRoundEvent* event) {
+    if (telemetry == nullptr) return;
+    const FactGroup& group = engine.groups()[static_cast<size_t>(g)];
+    std::string signature = RenderSignature(dataset, group.signature);
+    const int64_t fg = static_cast<int64_t>(group.remaining());
+    const double prob = group_probs[static_cast<size_t>(g)];
+    if (positive) {
+      event->positive_group = g;
+      event->positive_signature = std::move(signature);
+      event->fg_positive = fg;
+      event->prob_positive = prob;
+      event->delta_h_positive = delta_h;
+    } else {
+      event->negative_group = g;
+      event->negative_signature = std::move(signature);
+      event->fg_negative = fg;
+      event->prob_negative = prob;
+      event->delta_h_negative = delta_h;
+    }
   };
 
   // Supervision: seed the trust state with the known labels as time
@@ -373,27 +386,9 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
     for (const auto& [fact, label] : options_.known_labels) {
       CORROB_RETURN_NOT_OK(engine.CommitKnownFact(fact, label));
     }
-    const int64_t committed =
-        static_cast<int64_t>(options_.known_labels.size());
-    engine.EndRound(committed);
-    obs::IncRoundEvent event;
-    event.kind = "supervised";
-    event.committed_n = committed;
-    event.facts_committed = committed;
-    record_round(std::move(event));
+    end_round("supervised",
+              static_cast<int64_t>(options_.known_labels.size()));
   }
-
-  auto notify = [&](IncRoundInfo::Kind kind, int32_t pos_group,
-                    int32_t neg_group, int64_t committed) {
-    if (!options_.round_observer) return;
-    IncRoundInfo info;
-    info.round = round;
-    info.kind = kind;
-    info.positive_group = pos_group;
-    info.negative_group = neg_group;
-    info.facts_committed = committed;
-    options_.round_observer(info);
-  };
 
   // Interruption support: boundary checks fire between rounds (with
   // `round` completed selection rounds behind us, so a run cancelled
@@ -407,12 +402,11 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
   Termination termination = Termination::kConverged;
   bool mid_round = false;
   // max_facts_per_round caps what one *selection* round may commit
-  // (always letting at least one fact through so rounds make
-  // progress); terminal wholesale commits are exempt.
+  // (at least one fact, so rounds make progress); terminal wholesale
+  // commits are exempt.
   const int64_t fact_cap = context.budget().max_facts_per_round;
-  auto capped = [fact_cap](int64_t n) {
-    return fact_cap > 0 ? std::max<int64_t>(1, std::min(n, fact_cap)) : n;
-  };
+  const int64_t round_cap =
+      fact_cap > 0 ? fact_cap : std::numeric_limits<int64_t>::max();
 
   while (engine.remaining_facts() > 0) {
     if (auto interrupt = context.CheckIterationBoundary(round)) {
@@ -438,25 +432,10 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
         }
       }
       CORROB_CHECK(best >= 0);
-      const int64_t best_remaining = static_cast<int64_t>(
-          engine.groups()[static_cast<size_t>(best)].remaining());
       obs::IncRoundEvent event;
-      if (telemetry != nullptr) {
-        event.kind = RoundKindName(IncRoundInfo::Kind::kGreedy);
-        event.positive_group = best;
-        event.positive_signature = RenderSignature(
-            dataset, engine.groups()[static_cast<size_t>(best)].signature);
-        event.fg_positive = best_remaining;
-        event.prob_positive = best_p;
-      }
-      int64_t committed = engine.CommitGroup(best, capped(best_remaining));
-      engine.EndRound(committed);
-      if (telemetry != nullptr) {
-        event.committed_n = committed;
-        event.facts_committed = committed;
-        record_round(std::move(event));
-      }
-      notify(IncRoundInfo::Kind::kGreedy, best, -1, committed);
+      describe_side(true, best, 0.0, &event);
+      end_round("greedy", engine.CommitGroup(best, round_cap),
+                std::move(event));
       continue;
     }
 
@@ -512,20 +491,14 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
         if (has_f_vote || !trusted_backer) negative.push_back(g);
       }
     }
+    obs::IncRoundEvent event;
+    event.part_positive = static_cast<int64_t>(positive.size());
+    event.part_negative = static_cast<int64_t>(negative.size());
 
     if (positive.empty() && negative.empty()) {
       // Only maximum-entropy groups remain; no further trust update
       // can be extracted. Commit them all at the Eq. 2 threshold.
-      int64_t committed = engine.CommitAllRemaining();
-      engine.EndRound(committed);
-      if (telemetry != nullptr) {
-        obs::IncRoundEvent event;
-        event.kind = RoundKindName(IncRoundInfo::Kind::kFinalTies);
-        event.committed_n = committed;
-        event.facts_committed = committed;
-        record_round(std::move(event));
-      }
-      notify(IncRoundInfo::Kind::kFinalTies, -1, -1, committed);
+      end_round("final_ties", engine.CommitAllRemaining(), std::move(event));
       break;
     }
     if (positive.empty() || negative.empty()) {
@@ -535,55 +508,22 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
       // listings that are projected to be corrupt", §2.3), then
       // re-partition — the trust update may move deferred groups
       // into a part or revive the other side.
-      bool is_negative = positive.empty();
+      const bool is_positive = negative.empty();
       double best_delta = 0.0;
-      int32_t best =
-          is_negative ? PickBestGroup(engine, negative, false, group_probs,
-                                      pool.get(), stop, &best_delta)
-                      : PickBestGroup(engine, positive, true, group_probs,
-                                      pool.get(), stop, &best_delta);
+      const int32_t best =
+          PickBestGroup(engine, is_positive ? positive : negative,
+                        is_positive, group_probs, pool.get(), stop,
+                        &best_delta);
       if (best < 0) {
         termination = context.SweepInterruption();
         mid_round = true;
         break;
       }
-      const int64_t best_remaining = static_cast<int64_t>(
-          engine.groups()[static_cast<size_t>(best)].remaining());
-      obs::IncRoundEvent event;
-      if (telemetry != nullptr) {
-        event.kind = RoundKindName(is_negative
-                                       ? IncRoundInfo::Kind::kOneSidedNegative
-                                       : IncRoundInfo::Kind::kOneSidedPositive);
-        event.part_positive = static_cast<int64_t>(positive.size());
-        event.part_negative = static_cast<int64_t>(negative.size());
-        const std::string signature = RenderSignature(
-            dataset, engine.groups()[static_cast<size_t>(best)].signature);
-        const double prob = group_probs[static_cast<size_t>(best)];
-        if (is_negative) {
-          event.negative_group = best;
-          event.negative_signature = signature;
-          event.fg_negative = best_remaining;
-          event.prob_negative = prob;
-          event.delta_h_negative = best_delta;
-        } else {
-          event.positive_group = best;
-          event.positive_signature = signature;
-          event.fg_positive = best_remaining;
-          event.prob_positive = prob;
-          event.delta_h_positive = best_delta;
-        }
-      }
-      int64_t committed = engine.CommitGroup(best, capped(best_remaining));
+      describe_side(is_positive, best, best_delta, &event);
+      const int64_t committed = engine.CommitGroup(best, round_cap);
       CORROB_CHECK(committed > 0);
-      engine.EndRound(committed);
-      if (telemetry != nullptr) {
-        event.committed_n = committed;
-        event.facts_committed = committed;
-        record_round(std::move(event));
-      }
-      notify(is_negative ? IncRoundInfo::Kind::kOneSidedNegative
-                         : IncRoundInfo::Kind::kOneSidedPositive,
-             is_negative ? -1 : best, is_negative ? best : -1, committed);
+      end_round(is_positive ? "one_sided_positive" : "one_sided_negative",
+                committed, std::move(event));
       continue;
     }
 
@@ -600,47 +540,20 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
       mid_round = true;
       break;
     }
+    // The paper's balanced commit: n = min(|FG+|, |FG-|) facts from
+    // each side, recorded so the invariant is directly checkable.
     int64_t n = static_cast<int64_t>(std::min(
         engine.groups()[static_cast<size_t>(best_positive)].remaining(),
         engine.groups()[static_cast<size_t>(best_negative)].remaining()));
     // Balanced rounds commit n facts per side, so the per-round cap
     // splits across the two commits.
-    if (fact_cap > 0) n = std::min(n, std::max<int64_t>(1, fact_cap / 2));
-    obs::IncRoundEvent event;
-    if (telemetry != nullptr) {
-      // The paper's balanced commit: n = min(|FG+|, |FG-|) facts from
-      // each side, recorded so the invariant is directly checkable.
-      event.kind = RoundKindName(IncRoundInfo::Kind::kBalanced);
-      event.positive_group = best_positive;
-      event.negative_group = best_negative;
-      event.positive_signature = RenderSignature(
-          dataset,
-          engine.groups()[static_cast<size_t>(best_positive)].signature);
-      event.negative_signature = RenderSignature(
-          dataset,
-          engine.groups()[static_cast<size_t>(best_negative)].signature);
-      event.fg_positive = static_cast<int64_t>(
-          engine.groups()[static_cast<size_t>(best_positive)].remaining());
-      event.fg_negative = static_cast<int64_t>(
-          engine.groups()[static_cast<size_t>(best_negative)].remaining());
-      event.part_positive = static_cast<int64_t>(positive.size());
-      event.part_negative = static_cast<int64_t>(negative.size());
-      event.prob_positive = group_probs[static_cast<size_t>(best_positive)];
-      event.prob_negative = group_probs[static_cast<size_t>(best_negative)];
-      event.delta_h_positive = delta_positive;
-      event.delta_h_negative = delta_negative;
-      event.committed_n = n;
-    }
-    int64_t committed = engine.CommitGroup(best_positive, n) +
-                        engine.CommitGroup(best_negative, n);
+    n = std::min(n, std::max<int64_t>(1, round_cap / 2));
+    describe_side(true, best_positive, delta_positive, &event);
+    describe_side(false, best_negative, delta_negative, &event);
+    const int64_t committed = engine.CommitGroup(best_positive, n) +
+                              engine.CommitGroup(best_negative, n);
     CORROB_CHECK(committed > 0);
-    engine.EndRound(committed);
-    if (telemetry != nullptr) {
-      event.facts_committed = committed;
-      record_round(std::move(event));
-    }
-    notify(IncRoundInfo::Kind::kBalanced, best_positive, best_negative,
-           committed);
+    end_round("balanced", committed, std::move(event), n);
   }
 
   if (TerminatedEarly(termination) && engine.remaining_facts() > 0) {
@@ -651,16 +564,7 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
     // abandoned in-flight round (if any) becomes the projection's
     // time point; a boundary interrupt opens a fresh one.
     if (!mid_round) ++round;
-    int64_t committed = engine.CommitAllRemaining();
-    engine.EndRound(committed);
-    if (telemetry != nullptr) {
-      obs::IncRoundEvent event;
-      event.kind = RoundKindName(IncRoundInfo::Kind::kInterrupted);
-      event.committed_n = committed;
-      event.facts_committed = committed;
-      record_round(std::move(event));
-    }
-    notify(IncRoundInfo::Kind::kInterrupted, -1, -1, committed);
+    end_round("interrupted", engine.CommitAllRemaining());
   }
 
   CorroborationResult result = std::move(engine).Finish(std::string(name()));

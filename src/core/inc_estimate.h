@@ -2,7 +2,6 @@
 #define CORROB_CORE_INC_ESTIMATE_H_
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -19,26 +18,6 @@ enum class IncSelectStrategy {
   /// IncEstPS: greedily commits the group with the highest projected
   /// probability each round.
   kProbability,
-};
-
-/// What one IncEstimate round did — emitted through
-/// IncEstimateOptions::round_observer for debugging and the Figure 2
-/// trajectory tooling.
-struct IncRoundInfo {
-  enum class Kind {
-    kBalanced,          ///< one positive + one negative group
-    kGreedy,            ///< IncEstPS: single highest-probability group
-    kOneSidedPositive,  ///< negative part empty: whole positive part
-    kOneSidedNegative,  ///< positive part empty: whole negative part
-    kFinalTies,         ///< only max-entropy ties left: threshold commit
-    kInterrupted,       ///< budget/cancel stop: remaining facts projected
-  };
-  int round = 0;
-  Kind kind = Kind::kBalanced;
-  /// Selected groups for balanced/greedy rounds (-1 otherwise).
-  int32_t positive_group = -1;
-  int32_t negative_group = -1;
-  int64_t facts_committed = 0;
 };
 
 struct IncEstimateOptions {
@@ -99,9 +78,6 @@ struct IncEstimateOptions {
   /// When true, CorroborationResult::trajectory records σ_i(S) per
   /// time point (Figure 2).
   bool record_trajectory = false;
-  /// Optional per-round callback, invoked after the round's trust
-  /// update. Intended for tracing and tests; must not mutate the run.
-  std::function<void(const IncRoundInfo&)> round_observer;
   /// Supervision: facts whose labels are already known (e.g. a
   /// hand-checked golden subset). They are committed at time point
   /// t0 with σ(f) = 0/1 before any selection round, so the very

@@ -136,18 +136,6 @@ bool Dataset::IsAffirmativeOnly(FactId f) const {
   return true;
 }
 
-std::string Dataset::SignatureKey(FactId f) const {
-  std::string key;
-  auto votes = VotesOnFact(f);
-  key.reserve(votes.size() * 4);
-  for (const SourceVote& sv : votes) {
-    if (!key.empty()) key += '|';
-    key += std::to_string(sv.source);
-    key += VoteToChar(sv.vote);
-  }
-  return key;
-}
-
 Dataset Dataset::WithEdits(std::span<const std::string> new_sources,
                            std::span<const std::string> new_facts,
                            std::span<const VoteEdit> writes) const {

@@ -96,11 +96,6 @@ class Dataset {
   /// Facts with no votes at all are not affirmative-only.
   bool IsAffirmativeOnly(FactId f) const;
 
-  /// Canonical signature of fact `f`: its (source, vote) list rendered
-  /// as e.g. "0T|2F|4T". Facts with equal signatures form one fact
-  /// group (paper §5.1).
-  std::string SignatureKey(FactId f) const;
-
   /// This dataset with `new_sources` and `new_facts` registered after
   /// its names, then `writes` applied in log order: a later write to
   /// the same (fact, source) wins; kNone erases. A name table that

@@ -262,15 +262,18 @@ int64_t FlightRecorder::stuck_now() const {
 FlightRecorderStats FlightRecorder::stats() const {
   FlightRecorderStats stats;
   if (!armed()) return stats;
-  {
-    std::lock_guard<std::mutex> lock(active_mutex_);
-    stats.started = started_;
-    stats.active = static_cast<int64_t>(active_.size());
-  }
+  // Completions are summed before `started_` is read. A request counts
+  // as started before it can count as completed, so this order keeps
+  // started >= completed in every snapshot.
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
     stats.completed += shard->completed;
     stats.dropped += shard->dropped;
+  }
+  {
+    std::lock_guard<std::mutex> lock(active_mutex_);
+    stats.started = started_;
+    stats.active = static_cast<int64_t>(active_.size());
   }
   std::lock_guard<std::mutex> lock(totals_mutex_);
   stats.slow = slow_;

@@ -40,7 +40,8 @@ struct IterationStats {
 struct IncRoundEvent {
   int32_t round = 0;
   /// "balanced" | "greedy" | "one_sided_positive" |
-  /// "one_sided_negative" | "final_ties" | "supervised".
+  /// "one_sided_negative" | "final_ties" | "supervised" |
+  /// "interrupted".
   std::string kind;
   /// Selected group ids (-1 when the side selected nothing).
   int32_t positive_group = -1;

@@ -1,20 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/inc_estimate.h"
 #include "data/motivating_example.h"
 
 namespace corrob {
 namespace {
 
-TEST(RoundObserverTest, ReceivesEveryRoundInOrder) {
+// The telemetry IncRoundEvent stream is IncEstimate's only per-round
+// record; these cases pin its round numbering and selection fields.
+CorroborationResult RunWithTelemetry(IncEstimateOptions options) {
   MotivatingExample example = MakeMotivatingExample();
-  std::vector<IncRoundInfo> rounds;
-  IncEstimateOptions options;
-  options.round_observer = [&](const IncRoundInfo& info) {
-    rounds.push_back(info);
-  };
-  CorroborationResult result =
-      IncEstimateCorroborator(options).Run(example.dataset).ValueOrDie();
+  options.collect_telemetry = true;
+  return IncEstimateCorroborator(options).Run(example.dataset).ValueOrDie();
+}
+
+TEST(RoundObserverTest, ReceivesEveryRoundInOrder) {
+  CorroborationResult result = RunWithTelemetry({});
+  ASSERT_NE(result.telemetry, nullptr);
+  const std::vector<obs::IncRoundEvent>& rounds = result.telemetry->rounds;
 
   ASSERT_EQ(static_cast<int>(rounds.size()), result.iterations);
   int64_t committed = 0;
@@ -26,39 +32,37 @@ TEST(RoundObserverTest, ReceivesEveryRoundInOrder) {
   EXPECT_EQ(committed, 12);
   // The run ends with the terminal wholesale commit of the leftover
   // side/ties, never with a balanced round.
-  IncRoundInfo::Kind last = rounds.back().kind;
-  EXPECT_TRUE(last == IncRoundInfo::Kind::kFinalTies ||
-              last == IncRoundInfo::Kind::kOneSidedPositive ||
-              last == IncRoundInfo::Kind::kOneSidedNegative);
+  const std::string& last = rounds.back().kind;
+  EXPECT_TRUE(last == "final_ties" || last == "one_sided_positive" ||
+              last == "one_sided_negative")
+      << last;
 }
 
 TEST(RoundObserverTest, BalancedRoundsCarryGroupIds) {
-  MotivatingExample example = MakeMotivatingExample();
-  std::vector<IncRoundInfo> balanced;
-  IncEstimateOptions options;
-  options.round_observer = [&](const IncRoundInfo& info) {
-    if (info.kind == IncRoundInfo::Kind::kBalanced) balanced.push_back(info);
-  };
-  IncEstimateCorroborator(options).Run(example.dataset).ValueOrDie();
+  CorroborationResult result = RunWithTelemetry({});
+  ASSERT_NE(result.telemetry, nullptr);
+  std::vector<obs::IncRoundEvent> balanced;
+  for (const obs::IncRoundEvent& event : result.telemetry->rounds) {
+    if (event.kind == "balanced") balanced.push_back(event);
+  }
   ASSERT_FALSE(balanced.empty());
-  for (const IncRoundInfo& info : balanced) {
-    EXPECT_GE(info.positive_group, 0);
-    EXPECT_GE(info.negative_group, 0);
-    EXPECT_NE(info.positive_group, info.negative_group);
+  for (const obs::IncRoundEvent& event : balanced) {
+    EXPECT_GE(event.positive_group, 0);
+    EXPECT_GE(event.negative_group, 0);
+    EXPECT_NE(event.positive_group, event.negative_group);
   }
 }
 
 TEST(RoundObserverTest, GreedyRoundsForIncEstPS) {
-  MotivatingExample example = MakeMotivatingExample();
-  int greedy_rounds = 0;
   IncEstimateOptions options;
   options.strategy = IncSelectStrategy::kProbability;
-  options.round_observer = [&](const IncRoundInfo& info) {
-    if (info.kind == IncRoundInfo::Kind::kGreedy) ++greedy_rounds;
-    EXPECT_EQ(info.negative_group, -1);
-  };
-  CorroborationResult result =
-      IncEstimateCorroborator(options).Run(example.dataset).ValueOrDie();
+  CorroborationResult result = RunWithTelemetry(options);
+  ASSERT_NE(result.telemetry, nullptr);
+  int greedy_rounds = 0;
+  for (const obs::IncRoundEvent& event : result.telemetry->rounds) {
+    if (event.kind == "greedy") ++greedy_rounds;
+    EXPECT_EQ(event.negative_group, -1);
+  }
   EXPECT_EQ(greedy_rounds, result.iterations);
 }
 

@@ -122,13 +122,6 @@ TEST(DatasetTest, IsAffirmativeOnly) {
   EXPECT_FALSE(d.IsAffirmativeOnly(2));  // No votes at all.
 }
 
-TEST(DatasetTest, SignatureKey) {
-  Dataset d = MakeSmall();
-  EXPECT_EQ(d.SignatureKey(0), "0T|1F");
-  EXPECT_EQ(d.SignatureKey(1), "1T");
-  EXPECT_EQ(d.SignatureKey(2), "");
-}
-
 TEST(DatasetTest, FindByName) {
   Dataset d = MakeSmall();
   EXPECT_EQ(d.FindSource("s1").ValueOrDie(), 1);

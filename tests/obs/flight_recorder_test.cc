@@ -1,5 +1,6 @@
 #include "obs/flight_recorder.h"
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -316,6 +317,42 @@ TEST(FlightRecorderTest, SnapshotIsByteDeterministicAcrossThreadCounts) {
   const std::string single = run_with_threads(1);
   const std::string pooled = run_with_threads(4);
   EXPECT_EQ(single, pooled);
+}
+
+TEST(FlightRecorderTest, StatsNeverShowMoreCompletedThanStarted) {
+  // Two writers run Begin/End back to back while this thread takes
+  // snapshots; a request that begins and ends between a snapshot's two
+  // reads must not make `completed` overtake `started`.
+  FlightRecorder::Options options;
+  options.capacity = 64;
+  options.shards = 4;
+  FlightRecorder recorder(options);
+  constexpr int kWriters = 2;
+  constexpr int kRequestsPerWriter = 20'000;
+  std::atomic<int> writers_done{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&recorder, &writers_done] {
+      for (int i = 0; i < kRequestsPerWriter; ++i) {
+        const uint64_t handle = recorder.Begin(MakeStart("req", "alpha"));
+        (void)recorder.End(handle,
+                           MakeFinish(RequestRole::kCold, "converged"));
+      }
+      writers_done.fetch_add(1);
+    });
+  }
+  int64_t snapshots = 0;
+  int64_t torn = 0;
+  while (writers_done.load() < kWriters) {
+    const FlightRecorderStats stats = recorder.stats();
+    if (stats.completed > stats.started) ++torn;
+    ++snapshots;
+  }
+  for (std::thread& writer : writers) writer.join();
+  EXPECT_EQ(torn, 0) << "of " << snapshots << " snapshots";
+  const FlightRecorderStats final_stats = recorder.stats();
+  EXPECT_EQ(final_stats.started, kWriters * kRequestsPerWriter);
+  EXPECT_EQ(final_stats.completed, kWriters * kRequestsPerWriter);
 }
 
 }  // namespace

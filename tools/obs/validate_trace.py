@@ -114,7 +114,8 @@ def validate_metrics(doc):
 
 
 ROUND_KINDS = {"balanced", "greedy", "one_sided_positive",
-               "one_sided_negative", "final_ties", "supervised"}
+               "one_sided_negative", "final_ties", "supervised",
+               "interrupted"}
 
 
 def validate_telemetry(doc):
