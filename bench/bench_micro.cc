@@ -119,12 +119,13 @@ BENCHMARK(BM_TwoEstimateFull)->Arg(10000)->Arg(36916);
 
 // Per-iteration cost of the execution-budget machinery on the
 // TwoEstimate sweep kernel (the acceptance bar is <= 2% for the
-// disarmed arm; see bench_budget_overhead for the recorded number):
-//   /0 unbounded — RunContext::Unbounded(), byte-for-byte the legacy
-//        code path (null sweep stop, no snapshots);
+// disarmed arm; see bench_budget_overhead for the recorded number).
+// All three arms run the same double-buffered fixpoint loop; they
+// differ only in what the sweeps poll:
+//   /0 unbounded — RunContext::Unbounded(): a null sweep stop, so no
+//        polls at chunk boundaries;
 //   /1 cancel-armed — a live CancellationToken that never fires:
-//        per-iteration snapshot plus relaxed-atomic polls at chunk
-//        boundaries;
+//        relaxed-atomic polls at chunk boundaries;
 //   /2 deadline-armed — a far-future deadline: arm /1 plus a
 //        monotonic clock read per boundary poll.
 void BM_TwoEstimateBudgetChecks(benchmark::State& state) {

@@ -18,6 +18,7 @@ Result<CorroborationResult> CosineCorroborator::Run(
   }
   const size_t facts = static_cast<size_t>(dataset.num_facts());
   std::vector<double> value(facts, 0.0);  // V(f) in [-1, 1].
+  std::vector<double> next_value = value;
   auto vote_sign = [](Vote vote) { return vote == Vote::kTrue ? 1.0 : -1.0; };
   auto step = [&](const FixpointSweeps& sweep, const std::vector<double>& trust,
                   std::vector<double>& next_trust) {
@@ -26,7 +27,7 @@ Result<CorroborationResult> CosineCorroborator::Run(
     if (!sweep.Facts([&](FactId f) {
           auto voters = dataset.VotesOnFact(f);
           if (voters.empty()) {
-            value[static_cast<size_t>(f)] = 0.0;
+            next_value[static_cast<size_t>(f)] = 0.0;
             return;
           }
           double numerator = 0.0;
@@ -38,7 +39,7 @@ Result<CorroborationResult> CosineCorroborator::Run(
             numerator += vote_sign(sv.vote) * w;
             denominator += std::fabs(w);
           }
-          value[static_cast<size_t>(f)] =
+          next_value[static_cast<size_t>(f)] =
               denominator > 0.0 ? Clamp(numerator / denominator, -1.0, 1.0)
                                 : 0.0;
         })) {
@@ -52,7 +53,7 @@ Result<CorroborationResult> CosineCorroborator::Run(
       double dot = 0.0;
       double value_norm_sq = 0.0;
       for (const FactVote& fv : voted) {
-        const double v = value[static_cast<size_t>(fv.fact)];
+        const double v = next_value[static_cast<size_t>(fv.fact)];
         dot += vote_sign(fv.vote) * v;
         value_norm_sq += v * v;
       }
@@ -69,7 +70,7 @@ Result<CorroborationResult> CosineCorroborator::Run(
   CORROB_ASSIGN_OR_RETURN(
       CorroborationResult result,
       RunTrustFixpoint("Cosine::Run", name(), options_, dataset, context,
-                       {&value}, step));
+                       {{&value, &next_value}}, step));
   result.fact_probability.resize(facts);
   for (size_t f = 0; f < facts; ++f) {
     result.fact_probability[f] = (value[f] + 1.0) / 2.0;

@@ -44,13 +44,20 @@ class FixpointSweeps {
   const StopSignal* stop_;
 };
 
+/// One double-buffered per-fact state vector of a fixpoint: a step
+/// reads `current` and writes `next`, and the driver swaps the two
+/// when an iteration completes. Both start at the same initial value.
+struct FixpointState {
+  std::vector<double>* current;
+  std::vector<double>* next;
+};
+
 /// The trust fixpoint shared by TwoEstimate, ThreeEstimate,
 /// TruthFinder and Cosine: a truth step and a trust step alternate
 /// until the L∞ trust delta falls under `options.tolerance` (paper
 /// §2.1). This is the only code in those methods that checks the
 /// shared options, builds the sweep view, pool and telemetry, polls
-/// the RunContext, rolls back a cut-short iteration, measures
-/// convergence and assembles the result.
+/// the RunContext, measures convergence and assembles the result.
 ///
 /// `options` is any of the four methods' option structs; the driver
 /// reads initial_trust, max_iterations, num_threads, tolerance and
@@ -58,13 +65,16 @@ class FixpointSweeps {
 /// `span_name` must be a string literal (see CORROB_TRACE_SPAN).
 ///
 /// `step(sweeps, trust, next_trust)` runs one iteration. It reads
-/// `trust`, rewrites the vectors listed in `per_fact_state`, writes
-/// each voting source's slot of `next_trust` (which starts as a copy
-/// of `trust`, so a source without votes keeps its trust), and
-/// returns false when a sweep was cut short. When a stop signal is
-/// armed the driver snapshots `per_fact_state` before each iteration
-/// and restores it on a cut-short one, so the state handed back is
-/// always exactly the last completed iteration's.
+/// `trust` and the current buffer of each `per_fact_state` pair, and
+/// writes every slot of each next buffer (a slot that both buffers
+/// hold at its initial value for good may be left alone); a later
+/// sweep of the same step reads the next buffers. It writes each
+/// voting source's slot of `next_trust`; both trust buffers start at
+/// initial_trust, so a source without votes keeps it exactly. It
+/// returns false when a sweep was cut short. The driver swaps every
+/// pair and the trust buffers only after a completed step, so a
+/// cut-short iteration's partial writes are never seen: the state
+/// handed back is always exactly the last completed iteration's.
 ///
 /// Returns the result with everything but fact_probability filled;
 /// source_trust holds the raw trust vector.
@@ -72,8 +82,7 @@ template <typename Options, typename Step>
 Result<CorroborationResult> RunTrustFixpoint(
     const char* span_name, std::string_view algorithm, const Options& options,
     const Dataset& dataset, const RunContext& context,
-    std::initializer_list<std::vector<double>*> per_fact_state,
-    const Step& step) {
+    std::initializer_list<FixpointState> per_fact_state, const Step& step) {
   if (options.max_iterations < 1) {
     return Status::InvalidArgument("max_iterations must be >= 1");
   }
@@ -85,13 +94,12 @@ Result<CorroborationResult> RunTrustFixpoint(
   const obs::TraceSpan span(span_name);
   const VoteMatrix matrix(dataset);
   std::unique_ptr<ThreadPool> pool = MakeSweepPool(options.num_threads);
-  const StopSignal* stop = context.sweep_stop();
-  const FixpointSweeps sweeps(matrix, pool.get(), stop);
+  const FixpointSweeps sweeps(matrix, pool.get(), context.sweep_stop());
   const size_t sources = static_cast<size_t>(matrix.num_sources());
   std::vector<double> trust(sources, options.initial_trust);
+  std::vector<double> next_trust = trust;
   auto telemetry =
       MaybeStartTelemetry(options.collect_telemetry, algorithm, dataset);
-  std::vector<std::vector<double>> snapshots(per_fact_state.size());
 
   Termination termination = Termination::kIterationCap;
   int iteration = 0;
@@ -102,21 +110,9 @@ Result<CorroborationResult> RunTrustFixpoint(
       termination = *interrupt;
       break;
     }
-    if (stop != nullptr) {
-      auto snapshot = snapshots.begin();
-      for (const std::vector<double>* state : per_fact_state) {
-        *snapshot++ = *state;
-      }
-    }
-    std::vector<double> next_trust = trust;
     if (!step(sweeps, trust, next_trust)) {
-      // A sweep was cut short: its writes are partial. Restore the
-      // last completed iteration's per-fact state; trust was not yet
-      // replaced.
-      auto snapshot = snapshots.begin();
-      for (std::vector<double>* state : per_fact_state) {
-        *state = std::move(*snapshot++);
-      }
+      // A sweep was cut short: its writes are partial, and they went
+      // only to the next buffers, which are left unswapped.
       termination = context.SweepInterruption();
       break;
     }
@@ -124,7 +120,10 @@ Result<CorroborationResult> RunTrustFixpoint(
     for (size_t s = 0; s < sources; ++s) {
       delta = std::max(delta, std::fabs(next_trust[s] - trust[s]));
     }
-    trust = std::move(next_trust);
+    for (const FixpointState& state : per_fact_state) {
+      state.current->swap(*state.next);
+    }
+    trust.swap(next_trust);
     RecordIteration(telemetry.get(), iteration, delta, trust);
     if (delta < options.tolerance) {
       termination = Termination::kConverged;

@@ -80,13 +80,6 @@ class RunContext {
   }
   const ResourceBudget& budget() const { return budget_; }
 
-  /// True when any interruption source is armed (token, deadline, or
-  /// round budget). Corroborators use this to decide whether to pay
-  /// for best-so-far snapshots.
-  bool bounded() const {
-    return stop_.armed() || budget_.max_rounds > 0;
-  }
-
   /// The boundary poll: call once per *completed* iteration / round /
   /// Gibbs sweep from sequential code, passing how many have fully
   /// completed. Returns the termination reason when the run should

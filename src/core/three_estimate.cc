@@ -17,13 +17,10 @@ Result<CorroborationResult> ThreeEstimateCorroborator::Run(
   }
   const size_t facts = static_cast<size_t>(dataset.num_facts());
   std::vector<double> difficulty(facts, options_.initial_difficulty);
+  std::vector<double> next_difficulty = difficulty;
   std::vector<double> probability(facts, 0.5);
+  std::vector<double> next_probability = probability;
   const double delta_smooth = options_.smoothing;
-  // probability is rewritten in place by the first sweep and
-  // difficulty is replaced mid-iteration, so the driver rolls back
-  // both when a later sweep is cut short. difficulty is not part of
-  // the result; its rollback keeps the run's whole state at the last
-  // completed iteration.
   auto step = [&](const FixpointSweeps& sweep, const std::vector<double>& trust,
                   std::vector<double>& next_trust) {
     // Corrob step with difficulty-discounted correctness. Each fact
@@ -31,7 +28,7 @@ Result<CorroborationResult> ThreeEstimateCorroborator::Run(
     if (!sweep.Facts([&](FactId f) {
           auto voters = dataset.VotesOnFact(f);
           if (voters.empty()) {
-            probability[static_cast<size_t>(f)] = 0.5;
+            next_probability[static_cast<size_t>(f)] = 0.5;
             return;
           }
           const double eps = difficulty[static_cast<size_t>(f)];
@@ -41,19 +38,20 @@ Result<CorroborationResult> ThreeEstimateCorroborator::Run(
                 1.0 - eps * (1.0 - trust[static_cast<size_t>(sv.source)]);
             sum += sv.vote == Vote::kTrue ? correct : 1.0 - correct;
           }
-          probability[static_cast<size_t>(f)] =
+          next_probability[static_cast<size_t>(f)] =
               sum / static_cast<double>(voters.size());
         })) {
       return false;
     }
-    NormalizeEstimates(options_.normalization, &probability);
+    NormalizeEstimates(options_.normalization, &next_probability);
     // Difficulty update: how much disagreement the decisions leave,
-    // attributed to the voters' residual untrustworthiness.
-    std::vector<double> next_difficulty(facts, options_.initial_difficulty);
+    // attributed to the voters' residual untrustworthiness. A voteless
+    // fact keeps initial_difficulty in both buffers.
     if (!sweep.Facts([&](FactId f) {
           auto voters = dataset.VotesOnFact(f);
           if (voters.empty()) return;
-          const bool decision = probability[static_cast<size_t>(f)] >= 0.5;
+          const bool decision =
+              next_probability[static_cast<size_t>(f)] >= 0.5;
           double wrong = 0.0;
           double capacity = 0.0;
           for (const SourceVote& sv : voters) {
@@ -66,7 +64,6 @@ Result<CorroborationResult> ThreeEstimateCorroborator::Run(
         })) {
       return false;
     }
-    difficulty = std::move(next_difficulty);
     // Trust update: wrong votes discounted by fact difficulty.
     return sweep.Sources([&](SourceId s) {
       auto voted = dataset.VotesBySource(s);
@@ -74,9 +71,10 @@ Result<CorroborationResult> ThreeEstimateCorroborator::Run(
       double wrong = 0.0;
       double capacity = 0.0;
       for (const FactVote& fv : voted) {
-        const bool decision = probability[static_cast<size_t>(fv.fact)] >= 0.5;
+        const bool decision =
+            next_probability[static_cast<size_t>(fv.fact)] >= 0.5;
         if ((fv.vote == Vote::kTrue) != decision) wrong += 1.0;
-        capacity += difficulty[static_cast<size_t>(fv.fact)];
+        capacity += next_difficulty[static_cast<size_t>(fv.fact)];
       }
       next_trust[static_cast<size_t>(s)] = Clamp(
           1.0 - (wrong + delta_smooth / 2.0) / (capacity + delta_smooth), 0.0,
@@ -86,7 +84,10 @@ Result<CorroborationResult> ThreeEstimateCorroborator::Run(
   CORROB_ASSIGN_OR_RETURN(
       CorroborationResult result,
       RunTrustFixpoint("ThreeEstimate::Run", name(), options_, dataset,
-                       context, {&probability, &difficulty}, step));
+                       context,
+                       {{&probability, &next_probability},
+                        {&difficulty, &next_difficulty}},
+                       step));
   result.fact_probability = std::move(probability);
   return result;
 }

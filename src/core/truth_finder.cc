@@ -18,13 +18,14 @@ Result<CorroborationResult> TruthFinderCorroborator::Run(
   }
   std::vector<double> probability(static_cast<size_t>(dataset.num_facts()),
                                   0.5);
+  std::vector<double> next_probability = probability;
   auto step = [&](const FixpointSweeps& sweep, const std::vector<double>& trust,
                   std::vector<double>& next_trust) {
     // Claim scores and fact confidence, partitioned by fact.
     if (!sweep.Facts([&](FactId f) {
           auto voters = dataset.VotesOnFact(f);
           if (voters.empty()) {
-            probability[static_cast<size_t>(f)] = 0.5;
+            next_probability[static_cast<size_t>(f)] = 0.5;
             return;
           }
           double score_true = 0.0;
@@ -39,19 +40,19 @@ Result<CorroborationResult> TruthFinderCorroborator::Run(
               score_true - options_.exclusion_weight * score_false;
           const double adjusted_false =
               score_false - options_.exclusion_weight * score_true;
-          probability[static_cast<size_t>(f)] = Sigmoid(
+          next_probability[static_cast<size_t>(f)] = Sigmoid(
               options_.dampening * (adjusted_true - adjusted_false));
         })) {
       return false;
     }
-    // Trust update. Each source reads only `probability` and writes
-    // its own slot, so the parallel sweep stays reduction-free.
+    // Trust update. Each source reads only `next_probability` and
+    // writes its own slot, so the parallel sweep stays reduction-free.
     return sweep.Sources([&](SourceId s) {
       auto voted = dataset.VotesBySource(s);
       if (voted.empty()) return;
       double sum = 0.0;
       for (const FactVote& fv : voted) {
-        const double p = probability[static_cast<size_t>(fv.fact)];
+        const double p = next_probability[static_cast<size_t>(fv.fact)];
         sum += fv.vote == Vote::kTrue ? p : 1.0 - p;
       }
       next_trust[static_cast<size_t>(s)] =
@@ -61,7 +62,7 @@ Result<CorroborationResult> TruthFinderCorroborator::Run(
   CORROB_ASSIGN_OR_RETURN(
       CorroborationResult result,
       RunTrustFixpoint("TruthFinder::Run", name(), options_, dataset, context,
-                       {&probability}, step));
+                       {{&probability, &next_probability}}, step));
   result.fact_probability = std::move(probability);
   return result;
 }

@@ -33,24 +33,25 @@ Result<CorroborationResult> TwoEstimateCorroborator::Run(
   }
   std::vector<double> probability(static_cast<size_t>(dataset.num_facts()),
                                   0.5);
+  std::vector<double> next_probability = probability;
   auto step = [&](const FixpointSweeps& sweep, const std::vector<double>& trust,
                   std::vector<double>& next_trust) {
     // Corrob step (paper Eq. 6): each fact's score depends only on the
     // previous iteration's trust, so the sweep partitions by fact.
     if (!sweep.Facts([&](FactId f) {
-          probability[static_cast<size_t>(f)] =
+          next_probability[static_cast<size_t>(f)] =
               CorrobScore(dataset.VotesOnFact(f), trust);
         })) {
       return false;
     }
-    NormalizeEstimates(options_.normalization, &probability);
+    NormalizeEstimates(options_.normalization, &next_probability);
     // Update step (paper Eq. 7), partitioned by source.
     return sweep.Sources([&](SourceId s) {
       auto voted = dataset.VotesBySource(s);
       if (voted.empty()) return;
       double sum = 0.0;
       for (const FactVote& fv : voted) {
-        const double p = probability[static_cast<size_t>(fv.fact)];
+        const double p = next_probability[static_cast<size_t>(fv.fact)];
         sum += fv.vote == Vote::kTrue ? p : 1.0 - p;
       }
       next_trust[static_cast<size_t>(s)] =
@@ -60,7 +61,7 @@ Result<CorroborationResult> TwoEstimateCorroborator::Run(
   CORROB_ASSIGN_OR_RETURN(
       CorroborationResult result,
       RunTrustFixpoint("TwoEstimate::Run", name(), options_, dataset, context,
-                       {&probability}, step));
+                       {{&probability, &next_probability}}, step));
   result.fact_probability = std::move(probability);
   return result;
 }

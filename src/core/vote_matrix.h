@@ -39,9 +39,10 @@ class VoteMatrix {
   ///
   /// `stop` (optional) is polled at chunk boundaries; a fired signal
   /// skips the remaining chunks and the sweep returns false. The
-  /// partial sweep's writes are then inconsistent — the driver
-  /// restores its snapshot before exposing any state (see
-  /// RunTrustFixpoint). Returns true when the sweep covered every id.
+  /// partial sweep's writes are then inconsistent — they went to the
+  /// driver's next buffers, which it discards by not swapping them in
+  /// (see RunTrustFixpoint). Returns true when the sweep covered every
+  /// id.
   bool ForEachFact(ThreadPool* pool, const std::function<void(FactId)>& fn,
                    const StopSignal* stop = nullptr) const;
   bool ForEachSource(ThreadPool* pool,

@@ -130,9 +130,9 @@ TEST(FixpointTest, DeadlineAtEveryPollMatchesTruncatedRun) {
   }
 }
 
-// The driver starts each iteration's next trust as a copy of the
-// current trust, so a source without votes keeps exactly its initial
-// trust.
+// Both of the driver's trust buffers start at the initial trust and a
+// source without votes is never written, so it keeps exactly its
+// initial trust.
 TEST(FixpointTest, SourceWithoutVotesKeepsInitialTrustExactly) {
   DatasetBuilder builder;
   const SourceId a = builder.AddSource("a");

@@ -34,7 +34,6 @@ TEST_F(RunContextTest, TerminatedEarlyExcludesNaturalOutcomes) {
 
 TEST_F(RunContextTest, UnboundedNeverInterrupts) {
   const RunContext& context = RunContext::Unbounded();
-  EXPECT_FALSE(context.bounded());
   EXPECT_EQ(context.sweep_stop(), nullptr);
   EXPECT_EQ(context.CheckIterationBoundary(0), std::nullopt);
   EXPECT_EQ(context.CheckIterationBoundary(1 << 30), std::nullopt);
@@ -45,7 +44,6 @@ TEST_F(RunContextTest, CancellationFiresAtTheBoundary) {
   CancellationToken token;
   RunContext context;
   context.WithCancellation(&token);
-  EXPECT_TRUE(context.bounded());
   ASSERT_NE(context.sweep_stop(), nullptr);
   EXPECT_EQ(context.CheckIterationBoundary(0), std::nullopt);
   token.Cancel();
@@ -57,7 +55,6 @@ TEST_F(RunContextTest, DeadlineFiresAtTheBoundary) {
   obs::ManualClock clock;
   RunContext context;
   context.WithDeadline(Deadline::After(&clock, 1000));
-  EXPECT_TRUE(context.bounded());
   ASSERT_NE(context.sweep_stop(), nullptr);
   EXPECT_EQ(context.CheckIterationBoundary(0), std::nullopt);
   clock.AdvanceNanos(1000);
@@ -81,7 +78,6 @@ TEST_F(RunContextTest, RoundBudgetFiresOnCompletedIterations) {
   ResourceBudget budget;
   budget.max_rounds = 3;
   context.WithBudget(budget);
-  EXPECT_TRUE(context.bounded());
   // A round budget alone arms no stop signal: sweeps stay on the
   // exact legacy path and only the boundary poll enforces the cap.
   EXPECT_EQ(context.sweep_stop(), nullptr);

@@ -1,10 +1,14 @@
 #include "obs/telemetry.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <string>
 
+#include "common/budget.h"
 #include "core/inc_estimate.h"
 #include "core/registry.h"
+#include "core/run_context.h"
 #include "core/two_estimate.h"
 #include "obs/trace.h"
 #include "synth/synthetic.h"
@@ -104,6 +108,39 @@ TEST(TelemetryTest, IncEstimateRoundsSatisfyBalancedCommitInvariant) {
     total_committed += event.facts_committed;
   }
   EXPECT_EQ(total_committed, corpus.dataset.num_facts());
+}
+
+TEST(TelemetryTest, CappedIncEstimateRoundsCommitAtMostHalfTheCapPerSide) {
+  // Under max_facts_per_round a balanced round still commits n per
+  // side, with n additionally capped at max(1, cap / 2): the round
+  // stays within the cap, except that it always makes progress.
+  SyntheticDataset corpus = MakeCorpus();
+  IncEstimateOptions options;
+  options.collect_telemetry = true;
+  IncEstimateCorroborator inc_est(options);
+  for (int64_t cap : {1, 10}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    ResourceBudget budget;
+    budget.max_facts_per_round = cap;
+    RunContext context;
+    context.WithBudget(budget);
+    CorroborationResult result =
+        inc_est.Run(corpus.dataset, context).ValueOrDie();
+    ASSERT_NE(result.telemetry, nullptr);
+
+    int capped_rounds = 0;
+    for (const IncRoundEvent& event : result.telemetry->rounds) {
+      if (event.kind != "balanced") continue;
+      const int64_t uncapped = std::min(event.fg_positive, event.fg_negative);
+      EXPECT_EQ(event.committed_n,
+                std::min(uncapped, std::max<int64_t>(1, cap / 2)))
+          << "round " << event.round;
+      EXPECT_EQ(event.facts_committed, 2 * event.committed_n)
+          << "round " << event.round;
+      if (event.committed_n < uncapped) ++capped_rounds;
+    }
+    EXPECT_GT(capped_rounds, 0);
+  }
 }
 
 TEST(TelemetryTest, JsonRoundTripPreservesEverything) {
