@@ -1,20 +1,28 @@
 // Google-benchmark micro-kernels for the hot paths: grouping, Eq. 5
-// scoring, ΔH evaluation, fixpoint iterations, Gibbs sweeps, and the
-// dedup text kernels.
+// scoring, ΔH evaluation, fixpoint iterations, Gibbs sweeps, the
+// client's read of a served answer, and the dedup text kernels.
+
+#include <sys/socket.h>
 
 #include <string>
+#include <string_view>
+#include <thread>
 
 #include <benchmark/benchmark.h>
 
 #include "common/budget.h"
 #include "common/crc32.h"
 #include "common/failpoint.h"
+#include "common/socket.h"
 #include "core/bayes_estimate.h"
 #include "core/cosine.h"
 #include "core/delta_apply.h"
 #include "core/run_context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "server/client.h"
+#include "server/protocol.h"
+#include "server/shared_response.h"
 #include "core/fact_group.h"
 #include "core/inc_estimate.h"
 #include "core/online.h"
@@ -303,6 +311,85 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(800117);
+
+/// A corroborate answer of `facts` probabilities and 10 trust scores,
+/// the shape of the 100k x 10 hot_read corpus's.
+server::CorroborateResponse HotResponse(size_t facts) {
+  server::CorroborateResponse response;
+  response.algorithm = "TwoEstimate";
+  response.iterations = 3;
+  response.fact_probability.resize(facts);
+  for (size_t i = 0; i < facts; ++i) {
+    response.fact_probability[i] = static_cast<double>(i % 97) / 97.0;
+  }
+  response.source_trust.assign(10, 0.8);
+  return response;
+}
+
+// The client's side of a cache hit: a writer thread answers each
+// one-byte request with a cached SharedResponse through
+// WriteSharedResponse (the daemon's hit path, request id attached),
+// and the timed thread reads the frame and decodes it into an outcome
+// exactly as CorrobClient::Corroborate does. Arg is the tagged payload
+// size; 800117 is hot_read's.
+void BM_ClientReadHit(benchmark::State& state) {
+  const std::string request_id = "r-42";
+  std::string empty_payload =
+      server::EncodeCorroborateResponse(HotResponse(0));
+  server::AttachRequestId(&empty_payload, request_id);
+  const size_t facts =
+      (static_cast<size_t>(state.range(0)) - empty_payload.size()) / 8;
+  const server::SharedResponse cached = server::MakeSharedResponse(
+      server::FrameType::kResultResponse,
+      server::EncodeCorroborateResponse(HotResponse(facts)));
+  int fds[2] = {-1, -1};
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    state.SkipWithError("socketpair failed");
+    return;
+  }
+  UniqueFd client(fds[0]);
+  UniqueFd daemon(fds[1]);
+  std::thread writer([&] {
+    char request = 0;
+    while (ReadExact(daemon.get(), &request, 1, StopSignal()).ok() &&
+           server::WriteSharedResponse(daemon.get(), cached, request_id,
+                                       StopSignal())
+               .ok()) {
+    }
+  });
+  const char request = 1;
+  for (auto _ : state) {
+    if (!WriteAll(client.get(), &request, 1, StopSignal()).ok()) break;
+    Result<server::WireFrame> frame =
+        server::ReadFrame(client.get(), StopSignal());
+    if (!frame.ok()) {
+      state.SkipWithError(frame.status().ToString().c_str());
+      break;
+    }
+    Result<server::CorroborateOutcome> outcome =
+        server::DecodeCorroborateOutcome(std::move(frame).ValueOrDie());
+    benchmark::DoNotOptimize(outcome);
+  }
+  client.Reset();  // the writer's next read sees EOF
+  writer.join();
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ClientReadHit)->Arg(800117)->UseRealTime();
+
+// DecodeCorroborateResponse of an answer with Arg facts and 10
+// sources: the payload decode inside every client read.
+void BM_DecodeCorroborateResponse(benchmark::State& state) {
+  const std::string payload = server::EncodeCorroborateResponse(
+      HotResponse(static_cast<size_t>(state.range(0))));
+  for (auto _ : state) {
+    Result<server::CorroborateResponse> decoded =
+        server::DecodeCorroborateResponse(payload);
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(payload.size()));
+}
+BENCHMARK(BM_DecodeCorroborateResponse)->Arg(100000);
 
 Status GuardedObserve(OnlineCorroborator& online,
                       const std::vector<SourceVote>& votes) {

@@ -1,8 +1,11 @@
 #ifndef CORROB_COMMON_BYTES_H_
 #define CORROB_COMMON_BYTES_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -63,6 +66,16 @@ class ByteWriter {
   }
   /// The bytes alone, no prefix.
   void Raw(std::string_view bytes) { out_->append(bytes); }
+  /// `values` as consecutive F64s, no count prefix. A little-endian
+  /// host's doubles already have the layout, so they go in one copy.
+  void F64Array(std::span<const double> values) {
+    if constexpr (std::endian::native == std::endian::little) {
+      out_->append(reinterpret_cast<const char*>(values.data()),
+                   values.size_bytes());
+    } else {
+      for (const double value : values) F64(value);
+    }
+  }
 
  private:
   void Fixed(uint64_t value, int width) {
@@ -105,6 +118,22 @@ class ByteReader {
   std::string_view Str() {
     const uint32_t length = U32();
     return Raw(length, "string body");
+  }
+  /// Fills `out` with the next out.size() F64s, the same bits F64()
+  /// would return one at a time; one copy on a little-endian host. On
+  /// an underrun `out` is zero-filled and the error latched.
+  void F64Array(std::span<double> out) {
+    if (out.empty()) return;  // an empty vector's data() may be null
+    const char* at = Take(out.size_bytes(), "f64 array");
+    if (at == nullptr) {
+      std::fill(out.begin(), out.end(), 0.0);
+      return;
+    }
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out.data(), at, out.size_bytes());
+    } else {
+      for (size_t i = 0; i < out.size(); ++i) out[i] = LoadF64(at + 8 * i);
+    }
   }
   /// The next `length` bytes, viewing the reader's bytes.
   std::string_view Raw(size_t length, std::string_view what = "bytes") {

@@ -5,61 +5,52 @@
 namespace corrob {
 namespace server {
 
-namespace {
-
-/// Decodes one response (frame type + payload) into an outcome. Used
-/// for standalone response frames and for each item of a batch
-/// response; `raw_frame` is always the standalone framing of the
-/// bytes, so equivalence tests compare like with like.
-Result<CorroborateOutcome> DecodeOutcome(FrameType type,
-                                         const std::string& payload) {
+Result<CorroborateOutcome> DecodeCorroborateOutcome(WireFrame response) {
   CorroborateOutcome outcome;
-  Frame framed;
-  framed.type = type;
-  framed.payload = payload;
-  outcome.raw_frame = EncodeFrame(framed);
-  switch (type) {
+  const std::string_view payload = response.payload();
+  switch (response.type) {
     case FrameType::kResultResponse: {
       outcome.kind = CorroborateOutcome::Kind::kResult;
       CORROB_ASSIGN_OR_RETURN(outcome.result,
                               DecodeCorroborateResponse(payload));
-      return outcome;
+      break;
     }
     case FrameType::kErrorResponse: {
       outcome.kind = CorroborateOutcome::Kind::kError;
       CORROB_ASSIGN_OR_RETURN(outcome.error, DecodeErrorResponse(payload));
-      return outcome;
+      break;
     }
     case FrameType::kOverloadedResponse: {
       outcome.kind = CorroborateOutcome::Kind::kOverloaded;
       CORROB_ASSIGN_OR_RETURN(outcome.overloaded,
                               DecodeOverloadedResponse(payload));
-      return outcome;
+      break;
     }
     case FrameType::kQuotaExceededResponse: {
       outcome.kind = CorroborateOutcome::Kind::kQuotaExceeded;
       CORROB_ASSIGN_OR_RETURN(outcome.quota,
                               DecodeQuotaExceededResponse(payload));
-      return outcome;
+      break;
     }
     default: {
       return Status::ParseError(
           "unexpected response frame '" +
-          std::string(FrameTypeName(type)) +
+          std::string(FrameTypeName(response.type)) +
           "' to a corroborate request");
     }
   }
+  // Decoded values own their bytes, so the buffer can move out now.
+  outcome.raw_frame = std::move(response.bytes);
+  return outcome;
 }
-
-}  // namespace
 
 Result<CorrobClient> CorrobClient::Connect(const std::string& socket_path) {
   CORROB_ASSIGN_OR_RETURN(UniqueFd fd, ConnectUnixSocket(socket_path));
   return CorrobClient(std::move(fd), socket_path);
 }
 
-Result<Frame> CorrobClient::RoundTrip(const Frame& request,
-                                      const StopSignal& stop) {
+Result<WireFrame> CorrobClient::RoundTrip(const Frame& request,
+                                          const StopSignal& stop) {
   if (!fd_.valid()) {
     return Status::FailedPrecondition("client is not connected");
   }
@@ -70,10 +61,10 @@ Result<Frame> CorrobClient::RoundTrip(const Frame& request,
   return ReadFrame(fd_.get(), stop);
 }
 
-Result<Frame> CorrobClient::RoundTripWithReconnect(const Frame& request,
-                                                   const StopSignal& stop) {
+Result<WireFrame> CorrobClient::RoundTripWithReconnect(
+    const Frame& request, const StopSignal& stop) {
   if (!reconnect_enabled_) return RoundTrip(request, stop);
-  return Retry(reconnect_policy_, [&]() -> Result<Frame> {
+  return Retry(reconnect_policy_, [&]() -> Result<WireFrame> {
     if (!fd_.valid()) {
       Result<UniqueFd> redial = ConnectUnixSocket(socket_path_);
       if (!redial.ok()) {
@@ -86,7 +77,7 @@ Result<Frame> CorrobClient::RoundTripWithReconnect(const Frame& request,
       }
       fd_ = std::move(redial).ValueOrDie();
     }
-    Result<Frame> response = RoundTrip(request, stop);
+    Result<WireFrame> response = RoundTrip(request, stop);
     if (!response.ok() && IsTransientCode(response.status().code())) {
       // The stream may no longer be frame-aligned; the next attempt
       // dials fresh.
@@ -101,9 +92,9 @@ Result<CorroborateOutcome> CorrobClient::Corroborate(
   Frame wire;
   wire.type = FrameType::kCorroborateRequest;
   wire.payload = EncodeCorroborateRequest(request);
-  CORROB_ASSIGN_OR_RETURN(Frame response,
+  CORROB_ASSIGN_OR_RETURN(WireFrame response,
                           RoundTripWithReconnect(wire, stop));
-  return DecodeOutcome(response.type, response.payload);
+  return DecodeCorroborateOutcome(std::move(response));
 }
 
 Result<std::vector<CorroborateOutcome>> CorrobClient::BatchCorroborate(
@@ -111,12 +102,12 @@ Result<std::vector<CorroborateOutcome>> CorrobClient::BatchCorroborate(
   Frame wire;
   wire.type = FrameType::kBatchRequest;
   wire.payload = EncodeBatchRequest(request);
-  CORROB_ASSIGN_OR_RETURN(Frame response, RoundTrip(wire, stop));
+  CORROB_ASSIGN_OR_RETURN(WireFrame response, RoundTrip(wire, stop));
 
   std::vector<CorroborateOutcome> outcomes;
   if (response.type == FrameType::kBatchResponse) {
     CORROB_ASSIGN_OR_RETURN(BatchResponse batch,
-                            DecodeBatchResponse(response.payload));
+                            DecodeBatchResponse(response.payload()));
     if (batch.items.size() != request.items.size()) {
       return Status::ParseError(
           "batch response has " + std::to_string(batch.items.size()) +
@@ -124,10 +115,15 @@ Result<std::vector<CorroborateOutcome>> CorrobClient::BatchCorroborate(
           " requests");
     }
     outcomes.reserve(batch.items.size());
-    for (const BatchItemResponse& item : batch.items) {
-      CORROB_ASSIGN_OR_RETURN(
-          CorroborateOutcome outcome,
-          DecodeOutcome(static_cast<FrameType>(item.type), item.payload));
+    for (BatchItemResponse& item : batch.items) {
+      // An item never crossed the wire as a frame of its own; its
+      // raw_frame is the framing it would have had standalone.
+      WireFrame standalone;
+      standalone.type = static_cast<FrameType>(item.type);
+      standalone.bytes =
+          EncodeFrame({standalone.type, std::move(item.payload)});
+      CORROB_ASSIGN_OR_RETURN(CorroborateOutcome outcome,
+                              DecodeCorroborateOutcome(std::move(standalone)));
       outcomes.push_back(std::move(outcome));
     }
     return outcomes;
@@ -136,7 +132,7 @@ Result<std::vector<CorroborateOutcome>> CorrobClient::BatchCorroborate(
   // requested item would be a lie — surface the single response as
   // one outcome so the caller sees exactly what the daemon said.
   CORROB_ASSIGN_OR_RETURN(CorroborateOutcome outcome,
-                          DecodeOutcome(response.type, response.payload));
+                          DecodeCorroborateOutcome(std::move(response)));
   outcomes.push_back(std::move(outcome));
   return outcomes;
 }
@@ -146,10 +142,10 @@ Result<ReloadResponse> CorrobClient::Reload(const ReloadRequest& request,
   Frame wire;
   wire.type = FrameType::kReloadRequest;
   wire.payload = EncodeReloadRequest(request);
-  CORROB_ASSIGN_OR_RETURN(Frame response, RoundTrip(wire, stop));
+  CORROB_ASSIGN_OR_RETURN(WireFrame response, RoundTrip(wire, stop));
   if (response.type == FrameType::kErrorResponse) {
     CORROB_ASSIGN_OR_RETURN(ErrorResponse error,
-                            DecodeErrorResponse(response.payload));
+                            DecodeErrorResponse(response.payload()));
     return Status(static_cast<StatusCode>(error.code), error.message);
   }
   if (response.type != FrameType::kReloadResponse) {
@@ -157,7 +153,7 @@ Result<ReloadResponse> CorrobClient::Reload(const ReloadRequest& request,
                               std::string(FrameTypeName(response.type)) +
                               "' to a reload request");
   }
-  return DecodeReloadResponse(response.payload);
+  return DecodeReloadResponse(response.payload());
 }
 
 Result<ApplyDeltaResponse> CorrobClient::ApplyDelta(
@@ -167,10 +163,10 @@ Result<ApplyDeltaResponse> CorrobClient::ApplyDelta(
   wire.payload = EncodeApplyDeltaRequest(request);
   // Deliberately the plain RoundTrip: a delta batch the daemon may
   // have logged before dying must not be silently resent.
-  CORROB_ASSIGN_OR_RETURN(Frame response, RoundTrip(wire, stop));
+  CORROB_ASSIGN_OR_RETURN(WireFrame response, RoundTrip(wire, stop));
   if (response.type == FrameType::kErrorResponse) {
     CORROB_ASSIGN_OR_RETURN(ErrorResponse error,
-                            DecodeErrorResponse(response.payload));
+                            DecodeErrorResponse(response.payload()));
     return Status(static_cast<StatusCode>(error.code), error.message);
   }
   if (response.type != FrameType::kApplyDeltaResponse) {
@@ -178,7 +174,7 @@ Result<ApplyDeltaResponse> CorrobClient::ApplyDelta(
                               std::string(FrameTypeName(response.type)) +
                               "' to an apply-delta request");
   }
-  return DecodeApplyDeltaResponse(response.payload);
+  return DecodeApplyDeltaResponse(response.payload());
 }
 
 Result<std::string> CorrobClient::Ping(const std::string& payload,
@@ -186,26 +182,26 @@ Result<std::string> CorrobClient::Ping(const std::string& payload,
   Frame wire;
   wire.type = FrameType::kPingRequest;
   wire.payload = payload;
-  CORROB_ASSIGN_OR_RETURN(Frame response, RoundTrip(wire, stop));
+  CORROB_ASSIGN_OR_RETURN(WireFrame response, RoundTrip(wire, stop));
   if (response.type != FrameType::kPongResponse) {
     return Status::ParseError("unexpected response frame '" +
                               std::string(FrameTypeName(response.type)) +
                               "' to a ping");
   }
-  return response.payload;
+  return std::string(response.payload());
 }
 
 Result<std::string> CorrobClient::Stats(const StopSignal& stop) {
   Frame wire;
   wire.type = FrameType::kStatsRequest;
-  CORROB_ASSIGN_OR_RETURN(Frame response,
+  CORROB_ASSIGN_OR_RETURN(WireFrame response,
                           RoundTripWithReconnect(wire, stop));
   if (response.type != FrameType::kStatsResponse) {
     return Status::ParseError("unexpected response frame '" +
                               std::string(FrameTypeName(response.type)) +
                               "' to a stats request");
   }
-  return response.payload;
+  return std::string(response.payload());
 }
 
 Result<std::string> CorrobClient::Introspect(const IntrospectRequest& request,
@@ -213,11 +209,11 @@ Result<std::string> CorrobClient::Introspect(const IntrospectRequest& request,
   Frame wire;
   wire.type = FrameType::kIntrospectRequest;
   wire.payload = EncodeIntrospectRequest(request);
-  CORROB_ASSIGN_OR_RETURN(Frame response,
+  CORROB_ASSIGN_OR_RETURN(WireFrame response,
                           RoundTripWithReconnect(wire, stop));
   if (response.type == FrameType::kErrorResponse) {
     CORROB_ASSIGN_OR_RETURN(ErrorResponse error,
-                            DecodeErrorResponse(response.payload));
+                            DecodeErrorResponse(response.payload()));
     return Status(static_cast<StatusCode>(error.code), error.message);
   }
   if (response.type != FrameType::kIntrospectResponse) {
@@ -225,7 +221,7 @@ Result<std::string> CorrobClient::Introspect(const IntrospectRequest& request,
                               std::string(FrameTypeName(response.type)) +
                               "' to an introspect request");
   }
-  return response.payload;
+  return std::string(response.payload());
 }
 
 }  // namespace server

@@ -37,11 +37,20 @@ struct CorroborateOutcome {
   OverloadedResponse overloaded;   // valid when kind == kOverloaded
   QuotaExceededResponse quota;     // valid when kind == kQuotaExceeded
   /// The response frame exactly as it crossed the wire (header +
-  /// payload + checksum). The drain parity and serving-equivalence
-  /// tests compare these bytes across daemons and serving paths (for
-  /// batch items: the frame the item would have produced standalone).
+  /// payload + checksum): the read buffer itself, moved in, so keeping
+  /// it costs no copy. The drain parity and serving-equivalence tests
+  /// compare these bytes across daemons and serving paths. A batch
+  /// item never crossed the wire alone; its raw_frame is the frame the
+  /// item would have produced standalone, encoded from its payload.
   std::string raw_frame;
 };
+
+/// The client's half of a corroborate round trip after the request is
+/// written: takes `response`'s buffer as raw_frame and decodes the
+/// payload from it. A frame type that does not answer a corroborate
+/// request is a ParseError.
+[[nodiscard]] Result<CorroborateOutcome> DecodeCorroborateOutcome(
+    WireFrame response);
 
 class CorrobClient {
  public:
@@ -120,13 +129,13 @@ class CorrobClient {
       : fd_(std::move(fd)), socket_path_(std::move(socket_path)) {}
 
   /// Writes `request` and reads one response frame.
-  [[nodiscard]] Result<Frame> RoundTrip(const Frame& request,
-                                        const StopSignal& stop);
+  [[nodiscard]] Result<WireFrame> RoundTrip(const Frame& request,
+                                            const StopSignal& stop);
 
   /// RoundTrip for the idempotent read paths: with reconnect enabled,
   /// transient transport failures redial socket_path_ and resend
   /// under reconnect_policy_; otherwise identical to RoundTrip.
-  [[nodiscard]] Result<Frame> RoundTripWithReconnect(
+  [[nodiscard]] Result<WireFrame> RoundTripWithReconnect(
       const Frame& request, const StopSignal& stop);
 
   UniqueFd fd_;

@@ -1,6 +1,8 @@
 #include "server/frame.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 #include "common/bytes.h"
 #include "common/crc32.h"
@@ -166,51 +168,62 @@ Result<Frame> DecodeFrame(std::string_view wire, size_t* consumed) {
   return frame;
 }
 
-Result<std::optional<Frame>> ReadFrameOrEof(int fd,
-                                            const StopSignal& stop) {
+std::string_view WireFrame::payload() const {
+  return std::string_view(bytes).substr(
+      kFrameHeaderBytes, bytes.size() - kFrameHeaderBytes - kFrameTrailerBytes);
+}
+
+Result<std::optional<WireFrame>> ReadFrameOrEof(int fd,
+                                                const StopSignal& stop) {
   CORROB_FAILPOINT("server.frame.read");
   char header[kFrameHeaderBytes];
   CORROB_ASSIGN_OR_RETURN(
       bool got_header, ReadExactOrEof(fd, header, sizeof(header), stop));
-  if (!got_header) return std::optional<Frame>();
+  if (!got_header) return std::optional<WireFrame>();
   const uint32_t magic = LoadU32(header);
   const uint8_t raw_type = static_cast<uint8_t>(header[4]);
   const uint32_t payload_length = LoadU32(header + 5);
   CORROB_RETURN_NOT_OK(CheckHeader(magic, raw_type, payload_length));
-  Frame frame;
+  const size_t total =
+      kFrameHeaderBytes + size_t{payload_length} + kFrameTrailerBytes;
+  WireFrame frame;
   frame.type = static_cast<FrameType>(raw_type);
-  frame.payload.resize(payload_length);
+  frame.bytes.resize(std::min(total, kFrameReadChunkBytes));
+  std::memcpy(frame.bytes.data(), header, kFrameHeaderBytes);
   // Once the header has arrived the frame is in flight: a close on any
   // later read boundary is still a mid-frame death, so promote the
   // clean-close IoError to ConnectionLost (the mid-read case already
-  // carries it from the socket layer).
-  const auto read_rest = [&](void* buffer, size_t length) -> Status {
-    CORROB_ASSIGN_OR_RETURN(bool complete,
-                            ReadExactOrEof(fd, buffer, length, stop));
+  // carries it from the socket layer). The buffer doubles only when
+  // the bytes already received fill it.
+  size_t received = kFrameHeaderBytes;
+  while (received < total) {
+    if (received == frame.bytes.size()) {
+      frame.bytes.resize(std::min(total, 2 * frame.bytes.size()));
+    }
+    const size_t length = frame.bytes.size() - received;
+    CORROB_ASSIGN_OR_RETURN(
+        bool complete,
+        ReadExactOrEof(fd, frame.bytes.data() + received, length, stop));
     if (!complete) {
       return Status::ConnectionLost(
-          "connection closed mid-frame (header received, " +
-          std::to_string(length) + "-byte continuation missing)");
+          "connection closed mid-frame (" + std::to_string(received) +
+          " of " + std::to_string(total) + " bytes received)");
     }
-    return Status::OK();
-  };
-  if (payload_length > 0) {
-    CORROB_RETURN_NOT_OK(read_rest(frame.payload.data(), payload_length));
+    received += length;
   }
-  char trailer[kFrameTrailerBytes];
-  CORROB_RETURN_NOT_OK(read_rest(trailer, sizeof(trailer)));
-  const uint32_t stored = LoadU32(trailer);
-  const uint32_t computed = FrameChecksum(raw_type, frame.payload);
+  const uint32_t stored =
+      LoadU32(frame.bytes.data() + kFrameHeaderBytes + payload_length);
+  const uint32_t computed = FrameChecksum(raw_type, frame.payload());
   if (stored != computed) {
     return Status::ParseError("frame checksum mismatch: stored " +
                               std::to_string(stored) + ", computed " +
                               std::to_string(computed));
   }
-  return std::optional<Frame>(std::move(frame));
+  return std::optional<WireFrame>(std::move(frame));
 }
 
-Result<Frame> ReadFrame(int fd, const StopSignal& stop) {
-  CORROB_ASSIGN_OR_RETURN(std::optional<Frame> frame,
+Result<WireFrame> ReadFrame(int fd, const StopSignal& stop) {
+  CORROB_ASSIGN_OR_RETURN(std::optional<WireFrame> frame,
                           ReadFrameOrEof(fd, stop));
   if (!frame.has_value()) {
     return Status::IoError("connection closed while waiting for a frame");

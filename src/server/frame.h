@@ -64,10 +64,28 @@ inline constexpr size_t kFrameTrailerBytes = 4;
 /// rejected before any allocation (64 MiB holds the response for an
 /// ~4M-fact corroboration).
 inline constexpr uint32_t kMaxFramePayload = 64u << 20;
+/// The most a socket read commits for one frame before its bytes
+/// arrive: a larger frame's buffer grows as it is received, so a bare
+/// header cannot make the reader allocate kMaxFramePayload.
+inline constexpr size_t kFrameReadChunkBytes = 1u << 20;
 
+/// A frame to encode or write, or decoded from a buffer.
 struct Frame {
   FrameType type = FrameType::kPingRequest;
   std::string payload;
+};
+
+/// A frame as read from a socket, every check passed: `bytes` holds
+/// the header, payload and trailer exactly as they crossed the wire,
+/// so it equals EncodeFrame({type, payload()}). Callers that keep the
+/// frame (CorroborateOutcome::raw_frame) move `bytes` out; callers
+/// that only decode it read payload().
+struct WireFrame {
+  FrameType type = FrameType::kPingRequest;
+  std::string bytes;
+
+  /// The payload, viewing `bytes`.
+  [[nodiscard]] std::string_view payload() const;
 };
 
 /// Serializes `frame` (header + payload + checksum).
@@ -82,19 +100,22 @@ struct Frame {
 [[nodiscard]] Result<Frame> DecodeFrame(std::string_view wire,
                                         size_t* consumed = nullptr);
 
-/// Reads one frame from `fd`, polling `stop`. Error taxonomy of
-/// DecodeFrame plus:
+/// Reads one frame from `fd` into one buffer, polling `stop`. Error
+/// taxonomy of DecodeFrame plus:
 ///   ConnectionLost - the peer closed mid-frame (bytes of the frame
 ///                    were already on the wire);
 ///   IoError        - the peer closed on a frame boundary when a
 ///                    frame was expected, or the socket died;
 ///   Cancelled      - `stop` fired.
-/// The "server.frame.read" failpoint is checked before the read.
-[[nodiscard]] Result<Frame> ReadFrame(int fd, const StopSignal& stop);
+/// The header is checked before anything is allocated; the buffer then
+/// starts at the whole frame or kFrameReadChunkBytes, whichever is
+/// smaller, and grows as the rest arrives. The "server.frame.read"
+/// failpoint is checked before the read.
+[[nodiscard]] Result<WireFrame> ReadFrame(int fd, const StopSignal& stop);
 
 /// Like ReadFrame, but a clean close on a frame boundary returns
 /// nullopt instead of an error (how connection loops see goodbye).
-[[nodiscard]] Result<std::optional<Frame>> ReadFrameOrEof(
+[[nodiscard]] Result<std::optional<WireFrame>> ReadFrameOrEof(
     int fd, const StopSignal& stop);
 
 /// A Crc32 already folded over a frame's type byte and its first

@@ -1,6 +1,7 @@
 #include "server/protocol.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/bytes.h"
 #include "common/string_util.h"
@@ -25,12 +26,13 @@ void PutOptions(ByteWriter& writer, const OptionList& options) {
 
 /// A u32-counted f64 array, bounds-checked once up front.
 void ReadF64Vector(ByteReader& reader, std::vector<double>* out) {
-  const uint32_t count = reader.Count(8);
-  const std::string_view bytes = reader.Raw(size_t{count} * 8, "f64 array");
-  out->resize(count);
-  for (size_t i = 0; i < count; ++i) {
-    (*out)[i] = LoadF64(bytes.data() + 8 * i);
-  }
+  out->resize(reader.Count(8));
+  reader.F64Array(*out);
+}
+
+void WriteF64Vector(ByteWriter& writer, std::span<const double> values) {
+  writer.U32(static_cast<uint32_t>(values.size()));
+  writer.F64Array(values);
 }
 
 [[nodiscard]] Status ReadOptions(ByteReader& reader, OptionList* out) {
@@ -176,10 +178,8 @@ std::string EncodeCorroborateResponse(
   writer.Str(response.algorithm);
   writer.U8(response.termination);
   writer.U32(response.iterations);
-  writer.U32(static_cast<uint32_t>(response.fact_probability.size()));
-  for (const double p : response.fact_probability) writer.F64(p);
-  writer.U32(static_cast<uint32_t>(response.source_trust.size()));
-  for (const double t : response.source_trust) writer.F64(t);
+  WriteF64Vector(writer, response.fact_probability);
+  WriteF64Vector(writer, response.source_trust);
   return out;
 }
 

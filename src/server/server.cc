@@ -465,7 +465,7 @@ void CorrobdServer::RunConnection(Connection* connection) {
   const StopSignal read_stop(&read_interrupt_, Deadline());
   while (!draining_.load(std::memory_order_acquire) &&
          !read_stop.ShouldStop()) {
-    Result<std::optional<Frame>> next =
+    Result<std::optional<WireFrame>> next =
         ReadFrameOrEof(connection->fd.get(), read_stop);
     if (!next.ok()) {
       // Drain interrupted an idle read: a silent close, not an error
@@ -481,20 +481,21 @@ void CorrobdServer::RunConnection(Connection* connection) {
       break;
     }
     if (!next.ValueOrDie().has_value()) break;  // clean goodbye
-    const Frame& frame = *next.ValueOrDie();
-    const Status handled = HandleFrame(connection, frame.type, frame.payload);
+    const WireFrame& frame = *next.ValueOrDie();
+    const Status handled =
+        HandleFrame(connection, frame.type, frame.payload());
     if (!handled.ok()) break;
   }
   connection->fd.Reset();
 }
 
 Status CorrobdServer::HandleFrame(Connection* connection, FrameType type,
-                                  const std::string& payload) {
+                                  std::string_view payload) {
   switch (type) {
     case FrameType::kPingRequest: {
       Frame pong;
       pong.type = FrameType::kPongResponse;
-      pong.payload = payload;  // echo
+      pong.payload.assign(payload);  // echo
       return CountResponse(
           WriteFrame(connection->fd.get(), pong, WriteStop()));
     }
@@ -607,7 +608,7 @@ Status CorrobdServer::HandleStats(Connection* connection) {
 }
 
 Status CorrobdServer::HandleIntrospect(Connection* connection,
-                                       const std::string& payload) {
+                                       std::string_view payload) {
   Frame response;
   Result<IntrospectRequest> decoded = DecodeIntrospectRequest(payload);
   if (!decoded.ok()) {
@@ -942,7 +943,7 @@ SharedResponse CorrobdServer::ExecuteOne(
 }
 
 Status CorrobdServer::HandleCorroborate(Connection* connection,
-                                        const std::string& payload) {
+                                        std::string_view payload) {
   SharedResponse response;
   std::string_view request_id;
   Result<CorroborateRequest> decoded = DecodeCorroborateRequest(payload);
@@ -972,7 +973,7 @@ Status CorrobdServer::HandleCorroborate(Connection* connection,
 }
 
 Status CorrobdServer::HandleBatch(Connection* connection,
-                                  const std::string& payload) {
+                                  std::string_view payload) {
   Frame response;
   Result<BatchRequest> decoded = DecodeBatchRequest(payload);
   if (!decoded.ok()) {
@@ -1021,7 +1022,7 @@ Status CorrobdServer::HandleBatch(Connection* connection,
 }
 
 Status CorrobdServer::HandleReload(Connection* connection,
-                                   const std::string& payload) {
+                                   std::string_view payload) {
   Frame response;
   const auto respond_error = [&](const Status& status) {
     response = ErrorFrame(status);
@@ -1071,7 +1072,7 @@ Status CorrobdServer::HandleReload(Connection* connection,
 }
 
 Status CorrobdServer::HandleApplyDelta(Connection* connection,
-                                       const std::string& payload) {
+                                       std::string_view payload) {
   Frame response;
   const auto respond_error = [&](const Status& status) {
     response = ErrorFrame(status);

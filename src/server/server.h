@@ -197,24 +197,24 @@ class CorrobdServer {
   /// client in-band and return OK here.
   [[nodiscard]] Status HandleFrame(Connection* connection,
                                    FrameType type,
-                                   const std::string& payload);
+                                   std::string_view payload);
 
   /// The corroborate path: decode, then ExecuteOne, then the frame.
   [[nodiscard]] Status HandleCorroborate(Connection* connection,
-                                         const std::string& payload);
+                                         std::string_view payload);
 
   /// The batch path: one rate charge of items.size() units, then each
   /// item through ExecuteOne sequentially (per-item admission — a
   /// batch takes N units of daemon capacity, not one).
   [[nodiscard]] Status HandleBatch(Connection* connection,
-                                   const std::string& payload);
+                                   std::string_view payload);
 
   /// Administrative dataset reload: swap in a fresh load, bump the
   /// generation, invalidate the cache. Rejected with
   /// FailedPrecondition for WAL-backed datasets — a raw CSV swap
   /// would diverge from the log's replay.
   [[nodiscard]] Status HandleReload(Connection* connection,
-                                    const std::string& payload);
+                                    std::string_view payload);
 
   /// Durable mutation path: append the decoded deltas to the
   /// dataset's WAL as one atomic batch frame (ack only after the
@@ -226,7 +226,7 @@ class CorrobdServer {
   /// serving with a typed kWalUnavailable error; it never takes the
   /// daemon down.
   [[nodiscard]] Status HandleApplyDelta(Connection* connection,
-                                        const std::string& payload);
+                                        std::string_view payload);
 
   /// Serves the stats frame: a JSON snapshot of queues, slots, cache,
   /// coalescer, quota and request counters.
@@ -237,7 +237,7 @@ class CorrobdServer {
   /// aggregates, latency histograms, watchdog counters, full metrics
   /// dump).
   [[nodiscard]] Status HandleIntrospect(Connection* connection,
-                                        const std::string& payload);
+                                        std::string_view payload);
 
   /// Cache lookup → quota → admission → coalesce → run. When
   /// `charge_rate` (standalone requests), the tenant's rate bucket is

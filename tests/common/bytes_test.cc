@@ -1,7 +1,9 @@
 #include <dirent.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -385,6 +387,133 @@ TEST(ByteCodecTest, FinishReportsTrailingBytes) {
       << finish;
   EXPECT_EQ(reader.Raw(2), "bc");
   EXPECT_TRUE(reader.Finish().ok());
+}
+
+// ---------------------------------------------------------------
+// The bulk f64 array path against the one-value-at-a-time path it
+// replaces.
+// ---------------------------------------------------------------
+
+/// Bit patterns a bulk copy must carry untouched: quiet and signalling
+/// NaNs with payloads and either sign, signed zeros, the smallest and
+/// largest denormals, infinities and the normal extremes.
+std::vector<uint64_t> SpecialF64Bits() {
+  return {0x7FF8000000000000ull, 0xFFF8000000000000ull,
+          0x7FF8DEADBEEF0001ull, 0xFFF0000000000001ull,
+          0x7FF0000000000001ull, 0x7FF7FFFFFFFFFFFFull,
+          0x0000000000000000ull, 0x8000000000000000ull,
+          0x0000000000000001ull, 0x8000000000000001ull,
+          0x000FFFFFFFFFFFFFull, 0x800FFFFFFFFFFFFFull,
+          0x7FF0000000000000ull, 0xFFF0000000000000ull,
+          0x7FEFFFFFFFFFFFFFull, 0x0010000000000000ull,
+          0x3FF0000000000000ull, 0xBFB999999999999Aull};
+}
+
+/// SpecialF64Bits, then `extra` seeded arbitrary patterns.
+std::vector<double> F64Sample(size_t extra) {
+  std::vector<uint64_t> bits = SpecialF64Bits();
+  uint64_t state = 0x9E3779B97F4A7C15ull;
+  for (size_t i = 0; i < extra; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    bits.push_back(state ^ (state >> 29));
+  }
+  std::vector<double> values;
+  for (const uint64_t b : bits) values.push_back(std::bit_cast<double>(b));
+  return values;
+}
+
+std::vector<uint64_t> BitsOf(const std::vector<double>& values) {
+  std::vector<uint64_t> bits;
+  for (const double v : values) bits.push_back(std::bit_cast<uint64_t>(v));
+  return bits;
+}
+
+/// The element-wise u32-counted array read the bulk path replaced.
+std::vector<double> ReadCountedF64sOneByOne(ByteReader& reader) {
+  const uint32_t count = reader.Count(8);
+  const std::string_view bytes = reader.Raw(size_t{count} * 8, "f64 array");
+  std::vector<double> out(count);
+  for (size_t i = 0; i < count; ++i) out[i] = LoadF64(bytes.data() + 8 * i);
+  return out;
+}
+
+std::vector<double> ReadCountedF64sInBulk(ByteReader& reader) {
+  std::vector<double> out(reader.Count(8));
+  reader.F64Array(out);
+  return out;
+}
+
+TEST(ByteCodecTest, BulkF64ArrayIsBitExactWithTheElementLoop) {
+  for (const size_t extra : {size_t{0}, size_t{1}, size_t{7}, size_t{1000}}) {
+    const std::vector<double> values = F64Sample(extra);
+    std::string one_by_one;
+    ByteWriter element_writer(&one_by_one);
+    for (const double v : values) element_writer.F64(v);
+    std::string bulk;
+    ByteWriter(&bulk).F64Array(values);
+    EXPECT_EQ(bulk, one_by_one) << values.size() << " values";
+
+    ByteReader element_reader(one_by_one);
+    std::vector<double> read_one_by_one;
+    for (size_t i = 0; i < values.size(); ++i) {
+      read_one_by_one.push_back(element_reader.F64());
+    }
+    ByteReader bulk_reader(one_by_one);
+    std::vector<double> read_bulk(values.size());
+    bulk_reader.F64Array(read_bulk);
+    EXPECT_TRUE(bulk_reader.Finish().ok()) << bulk_reader.Finish();
+    EXPECT_EQ(BitsOf(read_bulk), BitsOf(read_one_by_one));
+    EXPECT_EQ(BitsOf(read_bulk), BitsOf(values));
+  }
+  std::string empty;
+  ByteWriter(&empty).F64Array({});
+  EXPECT_TRUE(empty.empty());
+}
+
+TEST(ByteCodecTest, BulkF64ArrayFailsLikeTheElementLoop) {
+  const std::vector<double> values = F64Sample(5);
+  std::string valid;
+  ByteWriter writer(&valid);
+  writer.U32(static_cast<uint32_t>(values.size()));
+  writer.F64Array(values);
+
+  std::vector<std::string> inputs;
+  for (size_t length = 0; length <= valid.size(); ++length) {
+    inputs.push_back(valid.substr(0, length));  // every truncation
+  }
+  for (const uint32_t count :
+       {static_cast<uint32_t>(values.size() + 1), 0x1FFFFFFFu, 0xFFFFFFFFu}) {
+    std::string over_count = valid;  // a count the bytes cannot hold
+    std::string prefix;
+    ByteWriter(&prefix).U32(count);
+    over_count.replace(0, 4, prefix);
+    inputs.push_back(over_count);
+  }
+  for (const std::string& input : inputs) {
+    SCOPED_TRACE(Hex(input.substr(0, 8)) + " (" +
+                 std::to_string(input.size()) + " bytes)");
+    ByteReader element_reader(input);
+    const std::vector<double> one_by_one =
+        ReadCountedF64sOneByOne(element_reader);
+    ByteReader bulk_reader(input);
+    const std::vector<double> bulk = ReadCountedF64sInBulk(bulk_reader);
+    EXPECT_EQ(bulk_reader.status().code(), element_reader.status().code());
+    EXPECT_EQ(bulk_reader.status().message(),
+              element_reader.status().message());
+    EXPECT_EQ(BitsOf(bulk), BitsOf(one_by_one));
+  }
+
+  // An array read past the end latches a ParseError naming the read
+  // and hands back zeros, like every other field kind.
+  std::string short_bytes;
+  ByteWriter(&short_bytes).F64(1.5);
+  ByteReader reader(short_bytes, "test record");
+  std::vector<double> out = {7.0, 7.0};
+  reader.F64Array(out);
+  EXPECT_EQ(reader.status().code(), StatusCode::kParseError);
+  EXPECT_NE(reader.status().message().find("f64 array"), std::string::npos)
+      << reader.status();
+  EXPECT_EQ(out, std::vector<double>({0.0, 0.0}));
 }
 
 }  // namespace

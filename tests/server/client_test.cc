@@ -4,6 +4,7 @@
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -61,7 +62,7 @@ class ScriptedServer {
     // Consume the request so the client's write never sees a reset,
     // then answer with the scripted bytes and hang up. The UniqueFd
     // closing at scope exit is the "daemon died" part of the script.
-    Result<Frame> request = ReadFrame(conn.ValueOrDie().get(), NoStop());
+    Result<WireFrame> request = ReadFrame(conn.ValueOrDie().get(), NoStop());
     if (!request.ok()) return;
     if (!response_bytes_.empty()) {
       // lint: discard-ok: a scripted peer failing to write simulates the crash
@@ -149,6 +150,61 @@ TEST(CorrobClientTest, IntactScriptedResponseStillDecodes) {
   EXPECT_EQ(outcome.ValueOrDie().kind, CorroborateOutcome::Kind::kResult);
   EXPECT_EQ(outcome.ValueOrDie().result.iterations, 3u);
   EXPECT_EQ(outcome.ValueOrDie().raw_frame, WellFormedResultFrame());
+}
+
+TEST(CorrobClientTest, StandaloneRawFrameIsTheEncodedResponse) {
+  // raw_frame is the read buffer itself; for every kind of answer it
+  // must equal the standalone framing of the type and payload.
+  CorroborateResponse tagged;
+  tagged.algorithm = "TwoEstimate";
+  tagged.fact_probability.assign(5000, 0.25);
+  tagged.source_trust = {0.5, -0.0};
+  std::string tagged_payload = EncodeCorroborateResponse(tagged);
+  AttachRequestId(&tagged_payload, "req-42");
+  const std::vector<std::pair<FrameType, std::string>> responses = {
+      {FrameType::kResultResponse, tagged_payload},
+      {FrameType::kErrorResponse, EncodeErrorResponse({3, "no dataset", ""})},
+      {FrameType::kOverloadedResponse,
+       EncodeOverloadedResponse({20, 9, "queue full", ""})},
+      {FrameType::kQuotaExceededResponse,
+       EncodeQuotaExceededResponse({40, "metered", "over quota", ""})}};
+  for (const auto& [type, payload] : responses) {
+    SCOPED_TRACE(FrameTypeName(type));
+    const std::string expected = EncodeFrame({type, payload});
+    ScriptedServer server(expected);
+    ASSERT_TRUE(server.Launch().ok());
+    Result<CorrobClient> client = CorrobClient::Connect(server.path());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    Result<CorroborateOutcome> outcome =
+        client.ValueOrDie().Corroborate(CorroborateRequest{}, NoStop());
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(outcome.ValueOrDie().raw_frame, expected);
+  }
+}
+
+TEST(CorrobClientTest, DecodeCorroborateOutcomeKeepsTheReadBuffer) {
+  CorroborateResponse body;
+  body.algorithm = "IncEstHeu";
+  body.fact_probability = {0.5, 0.125};
+  body.source_trust = {0.75};
+  WireFrame frame;
+  frame.type = FrameType::kResultResponse;
+  frame.bytes = EncodeFrame({frame.type, EncodeCorroborateResponse(body)});
+  const std::string expected = frame.bytes;
+  Result<CorroborateOutcome> outcome =
+      DecodeCorroborateOutcome(std::move(frame));
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome.ValueOrDie().kind, CorroborateOutcome::Kind::kResult);
+  EXPECT_EQ(outcome.ValueOrDie().result.fact_probability,
+            body.fact_probability);
+  EXPECT_EQ(outcome.ValueOrDie().raw_frame, expected);
+
+  WireFrame pong;
+  pong.type = FrameType::kPongResponse;
+  pong.bytes = EncodeFrame({pong.type, "hi"});
+  Result<CorroborateOutcome> wrong = DecodeCorroborateOutcome(pong);
+  ASSERT_FALSE(wrong.ok());
+  EXPECT_EQ(wrong.status().code(), StatusCode::kParseError);
 }
 
 TEST(CorrobClientTest, DisconnectedClientFailsFast) {

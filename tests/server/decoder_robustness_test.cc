@@ -1,4 +1,5 @@
 #include <dirent.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -14,6 +15,7 @@
 #include "common/csv.h"
 #include "common/logging.h"
 #include "common/random.h"
+#include "common/socket.h"
 #include "core/online_checkpoint.h"
 #include "data/dataset_io.h"
 #include "data/wal.h"
@@ -184,7 +186,7 @@ TEST(DecoderRobustnessTest, ProtocolPayloads) {
   for (const DecoderCase& decoder : cases) Sweep(decoder);
 }
 
-TEST(DecoderRobustnessTest, Frames) {
+std::vector<std::string> FrameSamples() {
   std::vector<std::string> samples;
   for (const auto& [type, payload] :
        std::vector<std::pair<FrameType, std::string>>{
@@ -194,11 +196,98 @@ TEST(DecoderRobustnessTest, Frames) {
            {FrameType::kResultResponse, std::string(64, 'x')}}) {
     samples.push_back(EncodeFrame({type, payload}));
   }
+  return samples;
+}
+
+TEST(DecoderRobustnessTest, Frames) {
   Sweep({"frame",
          [](std::string_view bytes) {
            return DecodeFrame(bytes).status();
          },
-         samples, true, nullptr});
+         FrameSamples(), true, nullptr});
+}
+
+/// What ReadFrame must report when a peer sends `wire` and closes:
+/// DecodeFrame's code on the same bytes, except where the close cuts a
+/// frame short. DecodeFrame calls that a truncated ParseError; on a
+/// socket it is a mid-frame ConnectionLost, or the boundary IoError
+/// when nothing was sent at all.
+StatusCode ExpectedReadCode(std::string_view wire) {
+  if (wire.empty()) return StatusCode::kIoError;
+  if (wire.size() < kFrameHeaderBytes) return StatusCode::kConnectionLost;
+  const uint32_t payload_length = LoadU32(wire.data() + 5);
+  const bool header_ok = LoadU32(wire.data()) == kFrameMagic &&
+                         IsKnownFrameType(static_cast<uint8_t>(wire[4])) &&
+                         payload_length <= kMaxFramePayload;
+  if (header_ok && wire.size() < kFrameHeaderBytes + size_t{payload_length} +
+                                     kFrameTrailerBytes) {
+    return StatusCode::kConnectionLost;
+  }
+  return DecodeFrame(wire).status().code();
+}
+
+/// Sends `wire` over a socket pair, closes the sending end and reads
+/// one frame back with the socket reader.
+Result<WireFrame> ReadFromSocket(std::string_view wire) {
+  int fds[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  UniqueFd sender(fds[0]);
+  UniqueFd receiver(fds[1]);
+  // Every sample is far below one socket buffer, so the send never
+  // waits for the reader.
+  EXPECT_TRUE(WriteAll(sender.get(), wire.data(), wire.size(), StopSignal())
+                  .ok());
+  sender.Reset();
+  return ReadFrame(receiver.get(), StopSignal());
+}
+
+TEST(DecoderRobustnessTest, SocketReaderAgreesWithDecodeFrame) {
+  // The mutants of the Frames sweep above (every prefix, every u32
+  // window forced to 0xFFFFFFFF, the same seeded flips), fed to the
+  // socket reader instead of the buffer decoder.
+  const std::vector<std::string> samples = FrameSamples();
+  int compared = 0;
+  const auto check = [&](const std::string& what, std::string_view wire) {
+    SCOPED_TRACE(what);
+    ++compared;
+    size_t consumed = 0;
+    const Result<Frame> decoded = DecodeFrame(wire, &consumed);
+    const Result<WireFrame> read = ReadFromSocket(wire);
+    EXPECT_EQ(read.status().code(), ExpectedReadCode(wire))
+        << "read: " << read.status().ToString()
+        << "; decode: " << decoded.status().ToString();
+    if (read.ok() && decoded.ok()) {
+      EXPECT_EQ(read.ValueOrDie().type, decoded.ValueOrDie().type);
+      EXPECT_EQ(read.ValueOrDie().bytes, wire.substr(0, consumed));
+      EXPECT_EQ(read.ValueOrDie().payload(), decoded.ValueOrDie().payload);
+    }
+  };
+  for (size_t sample = 0; sample < samples.size(); ++sample) {
+    const std::string& valid = samples[sample];
+    const std::string label = "sample " + std::to_string(sample);
+    check(label, valid);
+    for (size_t length = 0; length < valid.size(); ++length) {
+      check(label + " prefix " + std::to_string(length),
+            valid.substr(0, length));
+    }
+    for (size_t at = 0; at + 4 <= valid.size(); ++at) {
+      std::string mutant = valid;
+      mutant.replace(at, 4, "\xFF\xFF\xFF\xFF");
+      check(label + " u32 at " + std::to_string(at), mutant);
+    }
+    proptest::ForEachSeed(kSweepSeed + sample, kFlipSeeds, [&](uint64_t seed) {
+      Rng rng(seed);
+      std::string mutant = valid;
+      const int flips = static_cast<int>(rng.UniformInt(1, 3));
+      for (int i = 0; i < flips; ++i) {
+        const size_t at = rng.NextBelow(mutant.size());
+        mutant[at] = static_cast<char>(
+            mutant[at] ^ static_cast<char>(rng.UniformInt(1, 255)));
+      }
+      check(label + " flips", mutant);
+    });
+  }
+  EXPECT_GT(compared, 200);
 }
 
 OnlineCorroborator SampleCorroborator() {

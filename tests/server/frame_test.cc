@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <iterator>
 #include <string>
 #include <thread>
 
@@ -142,22 +143,23 @@ TEST(FrameSocketTest, WriteThenReadAcrossSocket) {
     EXPECT_TRUE(written.ok()) << written.ToString();
     pair.a.Reset();
   });
-  Result<Frame> read = ReadFrame(pair.b.get(), NoStop());
+  Result<WireFrame> read = ReadFrame(pair.b.get(), NoStop());
   writer.join();
   ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ(read.ValueOrDie().payload, frame.payload);
+  EXPECT_EQ(read.ValueOrDie().payload(), frame.payload);
 }
 
 TEST(FrameSocketTest, CleanCloseOnBoundaryIsEofNotError) {
   SocketPair pair;
   pair.a.Reset();  // close without sending anything
-  Result<std::optional<Frame>> read = ReadFrameOrEof(pair.b.get(), NoStop());
+  Result<std::optional<WireFrame>> read =
+      ReadFrameOrEof(pair.b.get(), NoStop());
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_FALSE(read.ValueOrDie().has_value());
   // The strict variant reports the same close as a typed IoError.
   SocketPair strict;
   strict.a.Reset();
-  Result<Frame> frame = ReadFrame(strict.b.get(), NoStop());
+  Result<WireFrame> frame = ReadFrame(strict.b.get(), NoStop());
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kIoError);
 }
@@ -173,7 +175,7 @@ TEST(FrameSocketTest, MidFrameDisconnectIsConnectionLost) {
                    MSG_NOSIGNAL),
             static_cast<ssize_t>(kFrameHeaderBytes + 3));
   pair.a.Reset();
-  Result<Frame> read = ReadFrame(pair.b.get(), NoStop());
+  Result<WireFrame> read = ReadFrame(pair.b.get(), NoStop());
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kConnectionLost);
   EXPECT_NE(read.status().message().find("mid-read"), std::string::npos);
@@ -190,10 +192,50 @@ TEST(FrameSocketTest, HeaderOnlyDisconnectIsConnectionLost) {
                    MSG_NOSIGNAL),
             static_cast<ssize_t>(kFrameHeaderBytes));
   pair.a.Reset();
-  Result<Frame> read = ReadFrame(pair.b.get(), NoStop());
+  Result<WireFrame> read = ReadFrame(pair.b.get(), NoStop());
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kConnectionLost);
   EXPECT_NE(read.status().message().find("mid-frame"), std::string::npos);
+}
+
+TEST(FrameSocketTest, ReadBytesAreTheEncodedFrame) {
+  // Payload sizes around the reader's first buffer: empty, small, a
+  // frame that exactly fills kFrameReadChunkBytes, one byte more (one
+  // regrowth) and several times more (repeated regrowth).
+  const size_t fill = kFrameReadChunkBytes - kFrameHeaderBytes -
+                      kFrameTrailerBytes;
+  const FrameType types[] = {FrameType::kResultResponse,
+                             FrameType::kPingRequest,
+                             FrameType::kCorroborateRequest,
+                             FrameType::kStatsResponse};
+  uint64_t state = 0x5EED;
+  size_t round = 0;
+  for (const size_t length :
+       {size_t{0}, size_t{1}, size_t{4095}, fill, fill + 1,
+        3 * kFrameReadChunkBytes + 17}) {
+    SCOPED_TRACE("payload " + std::to_string(length));
+    Frame frame;
+    frame.type = types[round++ % std::size(types)];
+    frame.payload.resize(length);
+    for (char& c : frame.payload) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      c = static_cast<char>(state >> 56);
+    }
+    SocketPair pair;
+    std::thread writer([&] {
+      Status written = WriteFrame(pair.a.get(), frame, NoStop());
+      EXPECT_TRUE(written.ok()) << written.ToString();
+    });
+    Result<WireFrame> read = ReadFrame(pair.b.get(), NoStop());
+    writer.join();
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    const std::string wire = EncodeFrame(frame);
+    Result<Frame> decoded = DecodeFrame(wire);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(read.ValueOrDie().type, frame.type);
+    EXPECT_TRUE(read.ValueOrDie().bytes == wire);
+    EXPECT_TRUE(read.ValueOrDie().payload() == decoded.ValueOrDie().payload);
+  }
 }
 
 TEST(FrameSocketTest, GarbageBytesAreParseErrorNotCrash) {
@@ -202,7 +244,7 @@ TEST(FrameSocketTest, GarbageBytesAreParseErrorNotCrash) {
   ASSERT_EQ(::send(pair.a.get(), garbage.data(), garbage.size(),
                    MSG_NOSIGNAL),
             static_cast<ssize_t>(garbage.size()));
-  Result<Frame> read = ReadFrame(pair.b.get(), NoStop());
+  Result<WireFrame> read = ReadFrame(pair.b.get(), NoStop());
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kParseError);
 }
@@ -216,7 +258,7 @@ TEST(FrameSocketTest, CancelledStopUnblocksRead) {
     token.Cancel();
   });
   // No bytes ever arrive; the read must return instead of hanging.
-  Result<Frame> read = ReadFrame(pair.b.get(), stop);
+  Result<WireFrame> read = ReadFrame(pair.b.get(), stop);
   canceller.join();
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kCancelled);
@@ -227,7 +269,7 @@ TEST(FrameSocketTest, ExpiredDeadlineUnblocksRead) {
   obs::ManualClock clock;
   const StopSignal stop(nullptr, Deadline::After(&clock, 1));
   clock.AdvanceNanos(2);
-  Result<Frame> read = ReadFrame(pair.b.get(), stop);
+  Result<WireFrame> read = ReadFrame(pair.b.get(), stop);
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kCancelled);
 }
@@ -237,7 +279,7 @@ TEST(FrameSocketTest, ReadAndWriteFailpointsInjectTypedErrors) {
   SocketPair pair;
   Failpoints::Arm("server.frame.read",
                   {.code = StatusCode::kIoError, .message = "injected"});
-  Result<Frame> read = ReadFrame(pair.b.get(), NoStop());
+  Result<WireFrame> read = ReadFrame(pair.b.get(), NoStop());
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kIoError);
   EXPECT_EQ(read.status().message(), "injected");

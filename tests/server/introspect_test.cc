@@ -170,7 +170,7 @@ TEST_F(IntrospectTest, MalformedIntrospectPayloadGetsTypedError) {
   wire.type = FrameType::kIntrospectRequest;
   wire.payload = "\x01garbage";  // version 1 is below the v3 floor
   ASSERT_TRUE(WriteFrame(client.ValueOrDie().fd(), wire, NoStop()).ok());
-  Result<Frame> response = ReadFrame(client.ValueOrDie().fd(), NoStop());
+  Result<WireFrame> response = ReadFrame(client.ValueOrDie().fd(), NoStop());
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response.ValueOrDie().type, FrameType::kErrorResponse);
 }

@@ -258,11 +258,11 @@ TEST_F(CorrobdServerTest, MalformedPayloadIsParseErrorAndStreamSurvives) {
   Frame bad;
   bad.type = FrameType::kCorroborateRequest;
   ASSERT_TRUE(WriteFrame(client.ValueOrDie().fd(), bad, NoStop()).ok());
-  Result<Frame> reply = ReadFrame(client.ValueOrDie().fd(), NoStop());
+  Result<WireFrame> reply = ReadFrame(client.ValueOrDie().fd(), NoStop());
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   ASSERT_EQ(reply.ValueOrDie().type, FrameType::kErrorResponse);
   Result<ErrorResponse> error =
-      DecodeErrorResponse(reply.ValueOrDie().payload);
+      DecodeErrorResponse(reply.ValueOrDie().payload());
   ASSERT_TRUE(error.ok());
   EXPECT_EQ(error.ValueOrDie().code,
             static_cast<uint8_t>(StatusCode::kParseError));
@@ -285,13 +285,13 @@ TEST_F(CorrobdServerTest, GarbageStreamGetsTypedErrorThenCloseNotCrash) {
   ASSERT_EQ(::send(client.ValueOrDie().fd(), garbage.data(), garbage.size(),
                    MSG_NOSIGNAL),
             static_cast<ssize_t>(garbage.size()));
-  Result<Frame> reply = ReadFrame(client.ValueOrDie().fd(), NoStop());
+  Result<WireFrame> reply = ReadFrame(client.ValueOrDie().fd(), NoStop());
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_EQ(reply.ValueOrDie().type, FrameType::kErrorResponse);
   // The server closes with unread garbage still buffered, which the
   // kernel may surface as a clean EOF or a reset; either way no
   // further frame arrives.
-  Result<std::optional<Frame>> eof =
+  Result<std::optional<WireFrame>> eof =
       ReadFrameOrEof(client.ValueOrDie().fd(), NoStop());
   if (eof.ok()) {
     EXPECT_FALSE(eof.ValueOrDie().has_value());

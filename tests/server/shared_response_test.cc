@@ -136,13 +136,13 @@ TEST(SharedResponseTest, ReadFrameAcceptsAHitFrame) {
     written = WriteSharedResponse(pair.a.get(), response, "client-7",
                                   NoStop());
   });
-  Result<Frame> frame = ReadFrame(pair.b.get(), NoStop());
+  Result<WireFrame> frame = ReadFrame(pair.b.get(), NoStop());
   writer.join();
   ASSERT_TRUE(written.ok()) << written.ToString();
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
   EXPECT_EQ(frame.ValueOrDie().type, FrameType::kResultResponse);
   Result<CorroborateResponse> decoded =
-      DecodeCorroborateResponse(frame.ValueOrDie().payload);
+      DecodeCorroborateResponse(frame.ValueOrDie().payload());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.ValueOrDie().request_id, "client-7");
 }
