@@ -66,18 +66,41 @@ void BM_BuildFactGroups(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildFactGroups)->Arg(1000)->Arg(10000)->Arg(36916);
 
-// The same build on the default 36,916-fact restaurant corpus: the
-// shape every IncEstHeu run that corrobd serves groups before its
-// first round.
-void BM_BuildFactGroupsRestaurant(benchmark::State& state) {
+// The default 36,916-fact restaurant corpus: the shape of perfbench's
+// cold_read workload.
+const Dataset& SharedRestaurant() {
   static const Dataset* dataset = new Dataset(
       GenerateRestaurantCorpus(RestaurantSimOptions{}).ValueOrDie().dataset);
+  return *dataset;
+}
+
+// The same build on the restaurant corpus: what corrobd does once per
+// dataset generation, on its first IncEstimate request.
+void BM_BuildFactGroupsRestaurant(benchmark::State& state) {
+  const Dataset& dataset = SharedRestaurant();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BuildFactGroups(*dataset));
+    benchmark::DoNotOptimize(BuildFactGroups(dataset));
   }
-  state.SetItemsProcessed(state.iterations() * dataset->num_facts());
+  state.SetItemsProcessed(state.iterations() * dataset.num_facts());
 }
 BENCHMARK(BM_BuildFactGroupsRestaurant)->Unit(benchmark::kMillisecond);
+
+// A whole IncEstHeu run on the restaurant corpus. /0 builds its own
+// fact-group index, as `corrob run` does; /1 reads a prebuilt one, as
+// every corrobd miss after the first at a generation does.
+void BM_IncEstHeuRestaurant(benchmark::State& state) {
+  const Dataset& dataset = SharedRestaurant();
+  const FactGroupIndex index(dataset);
+  RunContext context;
+  if (state.range(0) == 1) context.WithFactGroups(&index);
+  IncEstimateCorroborator inc_est;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(inc_est.Run(dataset, context).ValueOrDie());
+  }
+  state.SetItemsProcessed(state.iterations() * dataset.num_facts());
+}
+BENCHMARK(BM_IncEstHeuRestaurant)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_CorrobScore(benchmark::State& state) {
   const SyntheticDataset& data = SharedSynthetic(10000);
@@ -92,14 +115,21 @@ void BM_CorrobScore(benchmark::State& state) {
 }
 BENCHMARK(BM_CorrobScore);
 
+// One ΔH evaluation as IncEstHeu's candidate scan runs it: against
+// the round's projection table, with a reused scratch.
 void BM_EntropyDelta(benchmark::State& state) {
   const SyntheticDataset& data = SharedSynthetic(state.range(0));
   IncrementalEngine engine(data.dataset, IncEstimateOptions{});
+  GroupProjection projection;
+  if (!engine.ProjectGroups(nullptr, &projection, /*with_entropy=*/true)) {
+    state.SkipWithError("projection interrupted");
+    return;
+  }
+  EntropyScratch scratch;
   int32_t g = 0;
-  int32_t num_groups = static_cast<int32_t>(engine.groups().size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.EntropyDelta(g));
-    g = (g + 1) % num_groups;
+    benchmark::DoNotOptimize(engine.EntropyDelta(g, projection, &scratch));
+    g = (g + 1) % engine.index().num_groups();
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -22,14 +22,8 @@ void PrintFigure1Walkthrough(const MotivatingExample& example) {
   options.record_trajectory = true;
   IncrementalEngine engine(example.dataset, options);
 
-  auto group_of = [&](FactId fact) -> int32_t {
-    const auto& groups = engine.groups();
-    for (size_t g = 0; g < groups.size(); ++g) {
-      for (FactId f : groups[g].facts) {
-        if (f == fact) return static_cast<int32_t>(g);
-      }
-    }
-    return -1;
+  auto group_of = [&](FactId fact) {
+    return engine.index().group_of_fact(fact);
   };
 
   engine.CommitGroup(group_of(8), 1);   // r9

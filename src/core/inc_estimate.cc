@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <span>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -16,7 +17,7 @@ namespace corrob {
 namespace {
 
 /// Eq. 5 score of a signature under a given trust assignment.
-double SignatureScore(const std::vector<SourceVote>& signature,
+double SignatureScore(std::span<const SourceVote> signature,
                       const std::vector<double>& trust) {
   if (signature.empty()) return 0.5;
   double sum = 0.0;
@@ -30,7 +31,7 @@ double SignatureScore(const std::vector<SourceVote>& signature,
 /// Renders a group signature as "s1=T,s2=F" (source names from the
 /// dataset) for the telemetry stream and `corrob explain`.
 std::string RenderSignature(const Dataset& dataset,
-                            const std::vector<SourceVote>& signature) {
+                            std::span<const SourceVote> signature) {
   std::string out;
   for (const SourceVote& sv : signature) {
     if (!out.empty()) out.push_back(',');
@@ -43,68 +44,75 @@ std::string RenderSignature(const Dataset& dataset,
 }  // namespace
 
 IncrementalEngine::IncrementalEngine(const Dataset& dataset,
+                                     const FactGroupIndex* index,
                                      const IncEstimateOptions& options)
-    : dataset_(dataset),
-      options_(options),
-      groups_(BuildFactGroups(dataset)),
-      groups_by_source_(BuildSourceGroupIndex(groups_, dataset.num_sources())),
+    : options_(options),
+      owned_index_(index == nullptr
+                       ? std::make_unique<const FactGroupIndex>(dataset)
+                       : nullptr),
+      index_(index == nullptr ? owned_index_.get() : index),
+      members_(index_->member_facts()),
+      committed_(static_cast<size_t>(index_->num_groups()), 0),
       trust_(static_cast<size_t>(dataset.num_sources()),
              options.initial_trust),
       correct_(static_cast<size_t>(dataset.num_sources()), 0.0),
       total_(static_cast<size_t>(dataset.num_sources()), 0.0),
       fact_probability_(static_cast<size_t>(dataset.num_facts()), 0.5),
-      group_of_fact_(static_cast<size_t>(dataset.num_facts()), -1),
       fact_round_(static_cast<size_t>(dataset.num_facts()), -1),
       remaining_facts_(dataset.num_facts()) {
-  scratch_.visit_stamp.assign(groups_.size(), -1);
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    for (FactId f : groups_[g].facts) {
-      group_of_fact_[static_cast<size_t>(f)] = static_cast<int32_t>(g);
-    }
-  }
   if (options_.record_trajectory) {
     trajectory_.push_back(TrajectoryPoint{trust_, 0});
   }
 }
 
 double IncrementalEngine::GroupProbability(int32_t g) const {
-  return SignatureScore(groups_[static_cast<size_t>(g)].signature, trust_);
+  return SignatureScore(index_->signature(g), trust_);
 }
 
-bool IncrementalEngine::ComputeGroupProbabilities(
-    ThreadPool* pool, std::vector<double>* probs,
-    const StopSignal* stop) const {
-  probs->resize(groups_.size());
-  return ParallelApply(pool, static_cast<int64_t>(groups_.size()),
-                       [this, probs](int64_t begin, int64_t end) {
-                         for (int64_t g = begin; g < end; ++g) {
-                           (*probs)[static_cast<size_t>(g)] = SignatureScore(
-                               groups_[static_cast<size_t>(g)].signature,
-                               trust_);
-                         }
-                       },
-                       stop);
+bool IncrementalEngine::ProjectGroups(ThreadPool* pool,
+                                      GroupProjection* projection,
+                                      bool with_entropy,
+                                      const StopSignal* stop) const {
+  const size_t num_groups = static_cast<size_t>(index_->num_groups());
+  projection->probability.resize(num_groups);
+  projection->entropy.resize(with_entropy ? num_groups : 0);
+  return ParallelApply(
+      pool, static_cast<int64_t>(num_groups),
+      [this, projection, with_entropy](int64_t begin, int64_t end) {
+        for (int64_t g = begin; g < end; ++g) {
+          const double p =
+              SignatureScore(index_->signature(static_cast<int32_t>(g)),
+                             trust_);
+          projection->probability[static_cast<size_t>(g)] = p;
+          if (with_entropy) {
+            projection->entropy[static_cast<size_t>(g)] = BinaryEntropy(p);
+          }
+        }
+      },
+      stop);
 }
 
 double IncrementalEngine::EntropyDelta(int32_t g) const {
-  return EntropyDelta(g, &scratch_);
+  CORROB_CHECK(ProjectGroups(nullptr, &projection_, /*with_entropy=*/true));
+  return EntropyDelta(g, projection_, &scratch_);
 }
 
 double IncrementalEngine::EntropyDelta(int32_t g,
+                                       const GroupProjection& projection,
                                        EntropyScratch* scratch) const {
-  const FactGroup& group = groups_[static_cast<size_t>(g)];
-  if (group.remaining() == 0) return 0.0;
+  if (remaining(g) == 0) return 0.0;
 
   // Decision the commit would take, under the current trust.
-  const double p = SignatureScore(group.signature, trust_);
+  const double p = projection.probability[static_cast<size_t>(g)];
   const bool decision = p >= kDecisionThreshold;
-  const double committed = static_cast<double>(group.remaining());
+  const double committed = static_cast<double>(remaining(g));
 
   // Tentative trust for the sources in the candidate's signature,
   // under the same smoothed Eq. 8 update EndRound applies.
   const double w = options_.trust_prior_weight;
+  const std::span<const SourceVote> signature = index_->signature(g);
   scratch->projected = trust_;
-  for (const SourceVote& sv : group.signature) {
+  for (const SourceVote& sv : signature) {
     size_t s = static_cast<size_t>(sv.source);
     bool vote_correct = (sv.vote == Vote::kTrue) == decision;
     double new_total = total_[s] + committed + w;
@@ -115,47 +123,49 @@ double IncrementalEngine::EntropyDelta(int32_t g,
 
   // Sum entropy changes over the other active groups that share a
   // source with the candidate; disjoint groups are unaffected.
-  if (scratch->visit_stamp.size() != groups_.size()) {
-    scratch->visit_stamp.assign(groups_.size(), -1);
+  const size_t num_groups = static_cast<size_t>(index_->num_groups());
+  if (scratch->visit_stamp.size() != num_groups) {
+    scratch->visit_stamp.assign(num_groups, -1);
     scratch->stamp = 0;
   }
   double delta = 0.0;
   ++scratch->stamp;
-  for (const SourceVote& sv : group.signature) {
-    for (int32_t other : groups_by_source_[static_cast<size_t>(sv.source)]) {
+  for (const SourceVote& sv : signature) {
+    for (int32_t other : index_->groups_of_source(sv.source)) {
       if (other == g) continue;
       size_t oi = static_cast<size_t>(other);
       if (scratch->visit_stamp[oi] == scratch->stamp) continue;
       scratch->visit_stamp[oi] = scratch->stamp;
-      const FactGroup& other_group = groups_[oi];
-      if (other_group.remaining() == 0) continue;
-      double before = SignatureScore(other_group.signature, trust_);
+      const size_t other_remaining = remaining(other);
+      if (other_remaining == 0) continue;
       double after =
-          SignatureScore(other_group.signature, scratch->projected);
-      delta += static_cast<double>(other_group.remaining()) *
-               (BinaryEntropy(after) - BinaryEntropy(before));
+          SignatureScore(index_->signature(other), scratch->projected);
+      delta += static_cast<double>(other_remaining) *
+               (BinaryEntropy(after) - projection.entropy[oi]);
     }
   }
   return delta;
 }
 
 int64_t IncrementalEngine::CommitGroup(int32_t g, int64_t n) {
-  FactGroup& group = groups_[static_cast<size_t>(g)];
-  int64_t take = std::min<int64_t>(n, static_cast<int64_t>(group.remaining()));
+  int64_t take = std::min<int64_t>(n, static_cast<int64_t>(remaining(g)));
   if (take <= 0) return 0;
 
-  const double p = SignatureScore(group.signature, trust_);
+  const std::span<const SourceVote> signature = index_->signature(g);
+  const double p = SignatureScore(signature, trust_);
   const bool decision = p >= kDecisionThreshold;
+  size_t& committed_members = committed_[static_cast<size_t>(g)];
+  const size_t first = index_->member_offset(g) + committed_members;
   for (int64_t i = 0; i < take; ++i) {
-    FactId f = group.facts[group.committed + static_cast<size_t>(i)];
+    FactId f = members_[first + static_cast<size_t>(i)];
     fact_probability_[static_cast<size_t>(f)] = p;
     fact_round_[static_cast<size_t>(f)] = rounds_;
   }
-  group.committed += static_cast<size_t>(take);
+  committed_members += static_cast<size_t>(take);
   remaining_facts_ -= take;
 
   const double committed = static_cast<double>(take);
-  for (const SourceVote& sv : group.signature) {
+  for (const SourceVote& sv : signature) {
     size_t s = static_cast<size_t>(sv.source);
     bool vote_correct = (sv.vote == Vote::kTrue) == decision;
     total_[s] += committed;
@@ -173,21 +183,23 @@ Status IncrementalEngine::CommitKnownFact(FactId fact, bool label) {
     return Status::FailedPrecondition("fact " + std::to_string(fact) +
                                       " is already committed");
   }
-  FactGroup& group = groups_[static_cast<size_t>(
-      group_of_fact_[static_cast<size_t>(fact)])];
+  const int32_t g = index_->group_of_fact(fact);
   // Move the fact to the committed frontier of its group.
-  auto it = std::find(group.facts.begin() +
-                          static_cast<std::ptrdiff_t>(group.committed),
-                      group.facts.end(), fact);
-  CORROB_CHECK(it != group.facts.end());
-  std::swap(*it,
-            group.facts[group.committed]);
-  ++group.committed;
+  size_t& committed_members = committed_[static_cast<size_t>(g)];
+  const auto frontier = members_.begin() +
+                        static_cast<std::ptrdiff_t>(index_->member_offset(g) +
+                                                    committed_members);
+  const auto end = members_.begin() +
+                   static_cast<std::ptrdiff_t>(index_->member_offset(g + 1));
+  auto it = std::find(frontier, end, fact);
+  CORROB_CHECK(it != end);
+  std::swap(*it, *frontier);
+  ++committed_members;
   --remaining_facts_;
 
   fact_probability_[static_cast<size_t>(fact)] = label ? 1.0 : 0.0;
   fact_round_[static_cast<size_t>(fact)] = rounds_;
-  for (const SourceVote& sv : group.signature) {
+  for (const SourceVote& sv : index_->signature(g)) {
     size_t s = static_cast<size_t>(sv.source);
     bool vote_correct = (sv.vote == Vote::kTrue) == label;
     total_[s] += 1.0;
@@ -198,9 +210,8 @@ Status IncrementalEngine::CommitKnownFact(FactId fact, bool label) {
 
 int64_t IncrementalEngine::CommitAllRemaining() {
   int64_t committed = 0;
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    committed += CommitGroup(static_cast<int32_t>(g),
-                             std::numeric_limits<int64_t>::max());
+  for (int32_t g = 0; g < index_->num_groups(); ++g) {
+    committed += CommitGroup(g, std::numeric_limits<int64_t>::max());
   }
   return committed;
 }
@@ -234,7 +245,7 @@ CorroborationResult IncrementalEngine::Finish(std::string algorithm_name) && {
 
 int32_t IncEstimateCorroborator::PickBestGroup(
     const IncrementalEngine& engine, const std::vector<int32_t>& part,
-    bool is_positive, const std::vector<double>& group_probs,
+    bool is_positive, const GroupProjection& projection,
     ThreadPool* pool, const StopSignal* stop, double* best_delta_out) const {
   CORROB_TRACE_SPAN("IncEstimate::PickBestGroup");
   // Confidence-first filter: keep only groups within extreme_band of
@@ -243,12 +254,12 @@ int32_t IncEstimateCorroborator::PickBestGroup(
   // which picks r9 at σ=0.9 and r12 at σ=0.37).
   double extreme = is_positive ? 0.0 : 1.0;
   for (int32_t g : part) {
-    double p = group_probs[static_cast<size_t>(g)];
+    double p = projection.probability[static_cast<size_t>(g)];
     extreme = is_positive ? std::max(extreme, p) : std::min(extreme, p);
   }
   std::vector<int32_t> candidates;
   for (int32_t g : part) {
-    double p = group_probs[static_cast<size_t>(g)];
+    double p = projection.probability[static_cast<size_t>(g)];
     if (is_positive ? p >= extreme - options_.extreme_band
                     : p <= extreme + options_.extreme_band) {
       candidates.push_back(g);
@@ -262,8 +273,8 @@ int32_t IncEstimateCorroborator::PickBestGroup(
     std::partial_sort(
         candidates.begin(), candidates.begin() + options_.max_candidate_groups,
         candidates.end(), [&](int32_t a, int32_t b) {
-          size_t ra = engine.groups()[static_cast<size_t>(a)].remaining();
-          size_t rb = engine.groups()[static_cast<size_t>(b)].remaining();
+          size_t ra = engine.remaining(a);
+          size_t rb = engine.remaining(b);
           if (ra != rb) return ra > rb;
           return a < b;
         });
@@ -283,11 +294,12 @@ int32_t IncEstimateCorroborator::PickBestGroup(
   std::vector<double> deltas(candidates.size());
   const bool complete = ParallelApply(
       pool, static_cast<int64_t>(candidates.size()),
-      [&engine, &candidates, &deltas](int64_t begin, int64_t end) {
+      [&engine, &projection, &candidates, &deltas](int64_t begin,
+                                                   int64_t end) {
         EntropyScratch scratch;
         for (int64_t i = begin; i < end; ++i) {
           deltas[static_cast<size_t>(i)] = engine.EntropyDelta(
-              candidates[static_cast<size_t>(i)], &scratch);
+              candidates[static_cast<size_t>(i)], projection, &scratch);
         }
       },
       stop);
@@ -327,14 +339,22 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
     return Status::InvalidArgument("num_threads must be >= 1");
   }
   CORROB_RETURN_NOT_OK(ValidateResourceBudget(context.budget()));
+  const FactGroupIndex* shared_index = context.fact_groups();
+  if (shared_index != nullptr &&
+      (shared_index->num_facts() != dataset.num_facts() ||
+       shared_index->num_sources() != dataset.num_sources())) {
+    return Status::InvalidArgument(
+        "fact-group index was built from a different dataset");
+  }
 
   CORROB_TRACE_SPAN("IncEstimate::Run");
-  IncrementalEngine engine(dataset, options_);
-  const int32_t num_groups = static_cast<int32_t>(engine.groups().size());
+  IncrementalEngine engine(dataset, shared_index, options_);
+  const int32_t num_groups = engine.index().num_groups();
   std::unique_ptr<ThreadPool> pool = MakeSweepPool(options_.num_threads);
-  // σ(FG) of every group, refreshed once per round; the selection
-  // logic below reads only this snapshot, never live probabilities.
-  std::vector<double> group_probs;
+  // σ(FG) and H(σ(FG)) of every group, refreshed once per round; the
+  // selection logic below reads only this snapshot, never live
+  // probabilities.
+  GroupProjection projection;
   auto telemetry =
       MaybeStartTelemetry(options_.collect_telemetry, name(), dataset);
 
@@ -361,10 +381,10 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
   auto describe_side = [&](bool positive, int32_t g, double delta_h,
                            obs::IncRoundEvent* event) {
     if (telemetry == nullptr) return;
-    const FactGroup& group = engine.groups()[static_cast<size_t>(g)];
-    std::string signature = RenderSignature(dataset, group.signature);
-    const int64_t fg = static_cast<int64_t>(group.remaining());
-    const double prob = group_probs[static_cast<size_t>(g)];
+    std::string signature =
+        RenderSignature(dataset, engine.index().signature(g));
+    const int64_t fg = static_cast<int64_t>(engine.remaining(g));
+    const double prob = projection.probability[static_cast<size_t>(g)];
     if (positive) {
       event->positive_group = g;
       event->positive_signature = std::move(signature);
@@ -414,7 +434,9 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
       break;
     }
     ++round;
-    if (!engine.ComputeGroupProbabilities(pool.get(), &group_probs, stop)) {
+    if (!engine.ProjectGroups(
+            pool.get(), &projection,
+            options_.strategy == IncSelectStrategy::kHeuristic, stop)) {
       termination = context.SweepInterruption();
       mid_round = true;
       break;
@@ -424,8 +446,8 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
       int32_t best = -1;
       double best_p = -1.0;
       for (int32_t g = 0; g < num_groups; ++g) {
-        if (engine.groups()[static_cast<size_t>(g)].remaining() == 0) continue;
-        double p = group_probs[static_cast<size_t>(g)];
+        if (engine.remaining(g) == 0) continue;
+        double p = projection.probability[static_cast<size_t>(g)];
         if (p > best_p) {
           best_p = p;
           best = g;
@@ -447,9 +469,10 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
     std::vector<int32_t> positive;
     std::vector<int32_t> negative;
     for (int32_t g = 0; g < num_groups; ++g) {
-      const FactGroup& group = engine.groups()[static_cast<size_t>(g)];
-      if (group.remaining() == 0) continue;
-      double p = group_probs[static_cast<size_t>(g)];
+      if (engine.remaining(g) == 0) continue;
+      const std::span<const SourceVote> signature =
+          engine.index().signature(g);
+      double p = projection.probability[static_cast<size_t>(g)];
       if (p > kDecisionThreshold + options_.tie_margin) {
         // Optional quarantine (ablation knob): hold back positive
         // groups containing a currently negative source, so a
@@ -459,7 +482,7 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
         // (see bench_ablation), so the default leaves this off.
         bool has_suspect_voter = false;
         if (options_.quarantine_suspect_groups) {
-          for (const SourceVote& sv : group.signature) {
+          for (const SourceVote& sv : signature) {
             if (engine.trust()[static_cast<size_t>(sv.source)] <
                 kDecisionThreshold) {
               has_suspect_voter = true;
@@ -479,7 +502,7 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
         // into the negative part and the collapse would cascade.
         bool has_f_vote = false;
         bool trusted_backer = false;
-        for (const SourceVote& sv : group.signature) {
+        for (const SourceVote& sv : signature) {
           if (sv.vote == Vote::kFalse) {
             has_f_vote = true;
           } else if (engine.SourceEvaluated(sv.source) &&
@@ -512,7 +535,7 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
       double best_delta = 0.0;
       const int32_t best =
           PickBestGroup(engine, is_positive ? positive : negative,
-                        is_positive, group_probs, pool.get(), stop,
+                        is_positive, projection, pool.get(), stop,
                         &best_delta);
       if (best < 0) {
         termination = context.SweepInterruption();
@@ -529,11 +552,11 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
 
     double delta_positive = 0.0;
     double delta_negative = 0.0;
-    int32_t best_positive = PickBestGroup(engine, positive, true, group_probs,
+    int32_t best_positive = PickBestGroup(engine, positive, true, projection,
                                           pool.get(), stop, &delta_positive);
     int32_t best_negative =
         best_positive < 0 ? -1
-                          : PickBestGroup(engine, negative, false, group_probs,
+                          : PickBestGroup(engine, negative, false, projection,
                                           pool.get(), stop, &delta_negative);
     if (best_positive < 0 || best_negative < 0) {
       termination = context.SweepInterruption();
@@ -543,8 +566,7 @@ Result<CorroborationResult> IncEstimateCorroborator::Run(
     // The paper's balanced commit: n = min(|FG+|, |FG-|) facts from
     // each side, recorded so the invariant is directly checkable.
     int64_t n = static_cast<int64_t>(std::min(
-        engine.groups()[static_cast<size_t>(best_positive)].remaining(),
-        engine.groups()[static_cast<size_t>(best_negative)].remaining()));
+        engine.remaining(best_positive), engine.remaining(best_negative)));
     // Balanced rounds commit n facts per side, so the per-round cap
     // splits across the two commits.
     n = std::min(n, std::max<int64_t>(1, round_cap / 2));

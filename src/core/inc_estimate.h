@@ -2,6 +2,7 @@
 #define CORROB_CORE_INC_ESTIMATE_H_
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -108,19 +109,41 @@ struct EntropyScratch {
   int64_t stamp = 0;
 };
 
+/// One round's projection of every group under the current trust:
+/// σ(FG) (paper Eq. 5 generalized to F votes) and its binary entropy,
+/// the "before" side of every ΔH evaluated in the round.
+struct GroupProjection {
+  std::vector<double> probability;
+  std::vector<double> entropy;
+};
+
 /// The mutable state of one incremental corroboration run, exposed so
 /// that callers can script their own selection policies (the paper's
 /// Section 2.3 walkthrough is reproduced in tests this way). The
 /// IncEstimate strategies are thin drivers over this engine.
 ///
+/// The fact groups come from a FactGroupIndex, which the engine only
+/// reads; the run's own state is the per-group commit cursors and a
+/// copy of the index's flat member array, which supervised commits
+/// reorder.
+///
 /// Lifecycle: construct over a dataset, repeatedly commit facts via
 /// CommitGroup/CommitAllRemaining, then call Finish().
 class IncrementalEngine {
  public:
-  IncrementalEngine(const Dataset& dataset, const IncEstimateOptions& options);
+  /// Borrows `index`, which must be built from `dataset` and outlive
+  /// the engine; a null `index` makes the engine build its own.
+  IncrementalEngine(const Dataset& dataset, const FactGroupIndex* index,
+                    const IncEstimateOptions& options);
+  IncrementalEngine(const Dataset& dataset, const IncEstimateOptions& options)
+      : IncrementalEngine(dataset, nullptr, options) {}
 
   /// Groups (shared signatures) of the dataset; indices are stable.
-  const std::vector<FactGroup>& groups() const { return groups_; }
+  const FactGroupIndex& index() const { return *index_; }
+  /// Facts of group `g` not yet committed.
+  size_t remaining(int32_t g) const {
+    return index_->size(g) - committed_[static_cast<size_t>(g)];
+  }
 
   /// Current multi-value trust σ_i(s): the fraction of s's votes on
   /// committed facts that agreed with the committed decision, or the
@@ -139,23 +162,28 @@ class IncrementalEngine {
 
   /// ΔH(F̄) score of committing all remaining facts of group `g`: the
   /// total entropy change over the other active groups (paper Eq. 9).
-  /// Uses the engine's own scratch; single-threaded callers only.
+  /// Projects every group under the current trust first, then runs
+  /// the same code as the overload below; single-threaded callers
+  /// only.
   double EntropyDelta(int32_t g) const;
 
-  /// Re-entrant variant for parallel ΔH scans: all mutable state
-  /// lives in `scratch`, so distinct scratches may evaluate distinct
-  /// groups concurrently. Bit-identical to EntropyDelta(g).
-  double EntropyDelta(int32_t g, EntropyScratch* scratch) const;
+  /// Re-entrant variant for parallel ΔH scans: `projection` is this
+  /// round's ProjectGroups output (the trust it was taken under must
+  /// still be current) and all mutable state lives in `scratch`, so
+  /// distinct scratches may evaluate distinct groups concurrently.
+  double EntropyDelta(int32_t g, const GroupProjection& projection,
+                      EntropyScratch* scratch) const;
 
   /// σ(FG) of every group (committed ones included) under the current
-  /// trust, written into `probs` — the per-round projection scan,
-  /// partitioned by group across `pool` (inline when null). When a
-  /// `stop` signal fires mid-scan, returns false and `probs` holds
-  /// partial garbage the caller must discard; returns true when every
-  /// slot was written.
-  [[nodiscard]] bool ComputeGroupProbabilities(
-      ThreadPool* pool, std::vector<double>* probs,
-      const StopSignal* stop = nullptr) const;
+  /// trust, and H(σ(FG)) too when `with_entropy` (only ΔH reads it) —
+  /// the per-round projection scan, partitioned by group across `pool`
+  /// (inline when null). When a `stop` signal fires mid-scan, returns
+  /// false and `projection` holds partial garbage the caller must
+  /// discard; returns true when every slot was written.
+  [[nodiscard]] bool ProjectGroups(ThreadPool* pool,
+                                   GroupProjection* projection,
+                                   bool with_entropy,
+                                   const StopSignal* stop = nullptr) const;
 
   /// Commits up to `n` remaining facts of group `g` with the group's
   /// current probability; returns how many facts were committed.
@@ -187,23 +215,24 @@ class IncrementalEngine {
   CorroborationResult Finish(std::string algorithm_name) &&;
 
  private:
-  friend class IncEstimateCorroborator;
-
-  const Dataset& dataset_;
   IncEstimateOptions options_;
-  std::vector<FactGroup> groups_;
-  std::vector<std::vector<int32_t>> groups_by_source_;
+  std::unique_ptr<const FactGroupIndex> owned_index_;
+  const FactGroupIndex* index_;
+  // Per-run copy of index_->member_facts(): group g's committed
+  // members lead its slice.
+  std::vector<FactId> members_;
+  std::vector<size_t> committed_;  // per group
   std::vector<double> trust_;
   std::vector<double> correct_;  // per source
   std::vector<double> total_;    // per source
   std::vector<double> fact_probability_;
-  std::vector<int32_t> group_of_fact_;
   std::vector<int32_t> fact_round_;
   int64_t remaining_facts_ = 0;
   int rounds_ = 0;
   std::vector<TrajectoryPoint> trajectory_;
   // Scratch for the single-threaded EntropyDelta overload.
   mutable EntropyScratch scratch_;
+  mutable GroupProjection projection_;
 };
 
 /// IncEstimate (paper Algorithm 1) with a pluggable selection
@@ -226,16 +255,17 @@ class IncEstimateCorroborator final : public Corroborator {
  private:
   /// Returns the part's group with the highest ΔH among the
   /// extreme-band candidates (see IncEstimateOptions::extreme_band).
-  /// `group_probs` holds the precomputed σ(FG) of every group; the ΔH
-  /// candidates are evaluated across `pool` (inline when null) with
-  /// per-chunk scratch and the argmax folds in fixed candidate order.
+  /// `projection` holds this round's σ(FG) and H(σ(FG)) of every
+  /// group; the ΔH candidates are evaluated across `pool` (inline when
+  /// null) with per-chunk scratch and the argmax folds in fixed
+  /// candidate order.
   /// When `best_delta_out` is non-null it receives the winner's ΔH
   /// (telemetry readout; does not affect the pick). When `stop` fires
   /// mid-scan the partial deltas are discarded and -1 is returned;
   /// the caller must abandon the round.
   int32_t PickBestGroup(const IncrementalEngine& engine,
                         const std::vector<int32_t>& part, bool is_positive,
-                        const std::vector<double>& group_probs,
+                        const GroupProjection& projection,
                         ThreadPool* pool, const StopSignal* stop = nullptr,
                         double* best_delta_out = nullptr) const;
 

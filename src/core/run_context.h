@@ -9,6 +9,8 @@
 
 namespace corrob {
 
+class FactGroupIndex;
+
 /// Why a corroboration run stopped. kConverged and kIterationCap are
 /// the two historical outcomes; the remaining reasons are early
 /// terminations where the run degraded gracefully and returned its
@@ -70,6 +72,14 @@ class RunContext {
     budget_ = budget;
     return *this;
   }
+  /// A prebuilt fact-group index (core/fact_group.h) of the dataset
+  /// the run reads, so IncEstimate does not build its own. It must be
+  /// built from that dataset and outlive the run; other methods
+  /// ignore it.
+  RunContext& WithFactGroups(const FactGroupIndex* index) {
+    fact_groups_ = index;
+    return *this;
+  }
 
   const StopSignal& stop() const { return stop_; }
   /// The stop signal for sweep-level polling (ParallelApply), or null
@@ -79,6 +89,7 @@ class RunContext {
     return stop_.armed() ? &stop_ : nullptr;
   }
   const ResourceBudget& budget() const { return budget_; }
+  const FactGroupIndex* fact_groups() const { return fact_groups_; }
 
   /// The boundary poll: call once per *completed* iteration / round /
   /// Gibbs sweep from sequential code, passing how many have fully
@@ -101,6 +112,7 @@ class RunContext {
  private:
   StopSignal stop_;
   ResourceBudget budget_;
+  const FactGroupIndex* fact_groups_ = nullptr;
 };
 
 }  // namespace corrob

@@ -7,6 +7,7 @@
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "core/delta_apply.h"
+#include "core/inc_estimate.h"
 #include "core/registry.h"
 #include "core/run_context.h"
 #include "data/dataset_io.h"
@@ -226,7 +227,8 @@ Status CorrobdServer::Start() {
       // unconditional; the uncontended lock keeps the discipline
       // checkable instead of special-cased.
       std::lock_guard<std::mutex> lock(served->mutex);
-      served->dataset = std::make_shared<const Dataset>(std::move(resident));
+      served->current = std::make_shared<const ServedGeneration>(
+          std::move(resident), fact_group_tally_);
     }
     datasets_.push_back(std::move(served));
   }
@@ -245,6 +247,31 @@ std::vector<std::string> CorrobdServer::dataset_names() const {
   names.reserve(datasets_.size());
   for (const auto& served : datasets_) names.push_back(served->name);
   return names;
+}
+
+ServedGeneration::~ServedGeneration() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (fact_groups_ == nullptr) return;
+  tally_->resident.fetch_sub(1, std::memory_order_relaxed);
+  tally_->resident_bytes.fetch_sub(fact_groups_->bytes(),
+                                   std::memory_order_relaxed);
+}
+
+const FactGroupIndex& ServedGeneration::FactGroups() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (fact_groups_ == nullptr) {
+    fact_groups_ = std::make_unique<const FactGroupIndex>(dataset_);
+    tally_->builds.fetch_add(1, std::memory_order_relaxed);
+    tally_->resident.fetch_add(1, std::memory_order_relaxed);
+    tally_->resident_bytes.fetch_add(fact_groups_->bytes(),
+                                     std::memory_order_relaxed);
+  }
+  return *fact_groups_;
+}
+
+int64_t ServedGeneration::fact_group_bytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return fact_groups_ == nullptr ? -1 : fact_groups_->bytes();
 }
 
 ServedDataset* CorrobdServer::FindDataset(const std::string& name) const {
@@ -273,22 +300,22 @@ Status CorrobdServer::ReloadDataset(ServedDataset* served) {
   }
   CORROB_ASSIGN_OR_RETURN(LabeledDataset loaded,
                           LoadDatasetCsv(served->path));
-  PublishGeneration(served,
-                    std::make_shared<const Dataset>(std::move(loaded.dataset)));
+  PublishGeneration(served, std::move(loaded.dataset));
   return Status::OK();
 }
 
-void CorrobdServer::PublishGeneration(ServedDataset* served,
-                                      std::shared_ptr<const Dataset> next) {
+void CorrobdServer::PublishGeneration(ServedDataset* served, Dataset next) {
+  auto generation = std::make_shared<const ServedGeneration>(
+      std::move(next), fact_group_tally_);
   {
     std::lock_guard<std::mutex> lock(served->mutex);
-    served->dataset.swap(next);
+    served->current.swap(generation);
     served->generation.fetch_add(1, std::memory_order_release);
   }
-  // Free the old generation (now held by `next`) after the unlock: its
-  // destructor must not run inside the lock every read snapshots
-  // under.
-  next.reset();
+  // Free the old generation (now held by `generation`) after the
+  // unlock: its destructor must not run inside the lock every read
+  // snapshots under.
+  generation.reset();
   // Old-generation keys can never match again (the generation is in
   // the key); the scan just frees their memory eagerly.
   cache_->InvalidateDataset(served->name);
@@ -561,6 +588,35 @@ Status CorrobdServer::HandleStats(Connection* connection) {
   wal_json.Set("unhealthy_datasets", obs::JsonValue::Int(unhealthy));
   stats.Set("wal", std::move(wal_json));
 
+  obs::JsonValue fact_groups_json = obs::JsonValue::Object();
+  auto tally = [](const std::atomic<int64_t>& value) {
+    return obs::JsonValue::Int(value.load(std::memory_order_relaxed));
+  };
+  fact_groups_json.Set("builds", tally(fact_group_tally_->builds));
+  fact_groups_json.Set("resident", tally(fact_group_tally_->resident));
+  fact_groups_json.Set("resident_bytes",
+                       tally(fact_group_tally_->resident_bytes));
+  obs::JsonValue live = obs::JsonValue::Array();
+  for (const auto& served : datasets_) {
+    std::shared_ptr<const ServedGeneration> current;
+    uint64_t generation = 0;
+    {
+      std::lock_guard<std::mutex> lock(served->mutex);
+      current = served->current;
+      generation = served->generation.load(std::memory_order_acquire);
+    }
+    const int64_t bytes = current->fact_group_bytes();
+    obs::JsonValue row = obs::JsonValue::Object();
+    row.Set("dataset", obs::JsonValue::Str(served->name));
+    row.Set("generation",
+            obs::JsonValue::Int(static_cast<int64_t>(generation)));
+    row.Set("built", obs::JsonValue::Bool(bytes >= 0));
+    row.Set("bytes", obs::JsonValue::Int(std::max<int64_t>(bytes, 0)));
+    live.Append(std::move(row));
+  }
+  fact_groups_json.Set("datasets", std::move(live));
+  stats.Set("fact_groups", std::move(fact_groups_json));
+
   const CacheStats cache = cache_->stats();
   obs::JsonValue cache_json = obs::JsonValue::Object();
   cache_json.Set("hits", obs::JsonValue::Int(cache.hits));
@@ -751,11 +807,11 @@ SharedResponse CorrobdServer::ExecuteOne(
 
   // Snapshot data + generation together so a concurrent reload cannot
   // pair new data with an old cache key (or vice versa).
-  std::shared_ptr<const Dataset> data;
+  std::shared_ptr<const ServedGeneration> data;
   uint64_t generation = 0;
   {
     std::lock_guard<std::mutex> lock(served->mutex);
-    data = served->dataset;
+    data = served->current;
     generation = served->generation.load(std::memory_order_acquire);
   }
 
@@ -893,7 +949,13 @@ SharedResponse CorrobdServer::ExecuteOne(
         Status::Internal("request failpoint");
     const Status injected = Failpoints::Check("server.request.fail");
     if (injected.ok()) {
-      run = corroborator.ValueOrDie()->Run(*data, context);
+      // Only IncEstimate reads fact groups, so only it builds the
+      // generation's index.
+      if (dynamic_cast<const IncEstimateCorroborator*>(
+              corroborator.ValueOrDie().get()) != nullptr) {
+        context.WithFactGroups(&data->FactGroups());
+      }
+      run = corroborator.ValueOrDie()->Run(data->dataset(), context);
     } else {
       run = injected;
     }
@@ -907,13 +969,13 @@ SharedResponse CorrobdServer::ExecuteOne(
       coalescer_.Abandon(ticket);
       break;
     }
-    const CorroborationResult& result = run.ValueOrDie();
+    CorroborationResult& result = run.ValueOrDie();
     CorroborateResponse body;
     body.algorithm = result.algorithm;
     body.termination = static_cast<uint8_t>(result.termination);
     body.iterations = static_cast<uint32_t>(result.iterations);
-    body.fact_probability = result.fact_probability;
-    body.source_trust = result.source_trust;
+    body.fact_probability = std::move(result.fact_probability);
+    body.source_trust = std::move(result.source_trust);
     out = MakeSharedResponse(FrameType::kResultResponse,
                              EncodeCorroborateResponse(body));
     if (IsShareableTermination(body.termination)) {
@@ -1104,10 +1166,10 @@ Status CorrobdServer::HandleApplyDelta(Connection* connection,
             "' is serving read-only: its write-ahead log previously "
             "failed (restart corrobd to recover)");
       }
-      std::shared_ptr<const Dataset> current;
+      std::shared_ptr<const ServedGeneration> current;
       if (applied.ok()) {
         std::lock_guard<std::mutex> lock(served->mutex);
-        current = served->dataset;
+        current = served->current;
       }
       // Validate-and-build before the log sees anything, so a delta
       // batch the core rejects leaves both the WAL and the resident
@@ -1115,7 +1177,7 @@ Status CorrobdServer::HandleApplyDelta(Connection* connection,
       Result<Dataset> next =
           Status::FailedPrecondition("delta apply never ran");
       if (applied.ok()) {
-        next = ApplyDeltasToDataset(*current, request.deltas);
+        next = ApplyDeltasToDataset(current->dataset(), request.deltas);
         if (!next.ok()) applied = next.status();
       }
       if (applied.ok()) {
@@ -1147,8 +1209,7 @@ Status CorrobdServer::HandleApplyDelta(Connection* connection,
         // Drop this request's reference first, so PublishGeneration
         // frees the old generation after its unlock.
         current.reset();
-        PublishGeneration(served, std::make_shared<const Dataset>(
-                                      std::move(next).ValueOrDie()));
+        PublishGeneration(served, std::move(next).ValueOrDie());
         served->deltas_applied.fetch_add(request.deltas.size(),
                                          std::memory_order_relaxed);
         ServerMetrics::Get().deltas_applied->Add(

@@ -16,6 +16,7 @@
 #include "common/socket.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "core/fact_group.h"
 #include "data/dataset.h"
 #include "data/wal.h"
 #include "obs/clock.h"
@@ -101,6 +102,46 @@ struct ServerOptions {
   const obs::Clock* clock = nullptr;  // null → MonotonicClock::Get()
 };
 
+/// The fact-group indexes of one daemon, shared with its generations
+/// so that an old generation still held by an in-flight run counts
+/// until it is freed.
+struct FactGroupTally {
+  std::atomic<int64_t> builds{0};
+  std::atomic<int64_t> resident{0};
+  std::atomic<int64_t> resident_bytes{0};
+};
+
+/// One generation of a served dataset: its votes, plus the fact-group
+/// index (paper §5.1) IncEstimate reads. The index is built from the
+/// votes by the generation's first IncEstimate request, never by a
+/// write, a reload or another method. Requests hold the generation by
+/// shared_ptr, so in-flight runs co-own the index, and it is freed
+/// with its generation once the last of them finishes.
+class ServedGeneration {
+ public:
+  ServedGeneration(Dataset dataset, std::shared_ptr<FactGroupTally> tally)
+      : dataset_(std::move(dataset)), tally_(std::move(tally)) {}
+  ~ServedGeneration();
+
+  ServedGeneration(const ServedGeneration&) = delete;
+  ServedGeneration& operator=(const ServedGeneration&) = delete;
+
+  const Dataset& dataset() const { return dataset_; }
+
+  /// The index, built by the first call; concurrent first callers
+  /// wait for that one build.
+  const FactGroupIndex& FactGroups() const CORROB_EXCLUDES(mutex_);
+  /// The index's bytes, or -1 while it is unbuilt. Never builds it.
+  int64_t fact_group_bytes() const CORROB_EXCLUDES(mutex_);
+
+ private:
+  const Dataset dataset_;
+  const std::shared_ptr<FactGroupTally> tally_;
+  mutable std::mutex mutex_;
+  mutable std::unique_ptr<const FactGroupIndex> fact_groups_
+      CORROB_GUARDED_BY(mutex_);
+};
+
 /// One dataset resident in the daemon, shared read-only by every
 /// request that names it. Requests snapshot the shared_ptr under the
 /// mutex; HandleReload swaps in a fresh load and bumps `generation`,
@@ -110,7 +151,7 @@ struct ServedDataset {
   std::string name;
   std::string path;
   mutable std::mutex mutex;
-  std::shared_ptr<const Dataset> dataset CORROB_GUARDED_BY(mutex);
+  std::shared_ptr<const ServedGeneration> current CORROB_GUARDED_BY(mutex);
   std::atomic<uint64_t> generation{1};
   /// Serializes mutators (apply-delta requests). Separate from
   /// `mutex` so a delta apply never blocks readers, which only
@@ -261,8 +302,7 @@ class CorrobdServer {
   /// served->mutex, bumps the generation, frees the old generation
   /// after the unlock and drops the dataset's cached results. The
   /// caller serializes mutators (wal_mutex for apply-delta).
-  void PublishGeneration(ServedDataset* served,
-                         std::shared_ptr<const Dataset> next);
+  void PublishGeneration(ServedDataset* served, Dataset next);
 
   /// Every response write returns through here: counts the response
   /// in responses_sent and corrobd.responses.sent only when
@@ -294,6 +334,8 @@ class CorrobdServer {
   ServerOptions options_;
   const obs::Clock* clock_ = nullptr;
 
+  const std::shared_ptr<FactGroupTally> fact_group_tally_ =
+      std::make_shared<FactGroupTally>();
   std::vector<std::unique_ptr<ServedDataset>> datasets_;
   UniqueFd listener_;
   std::unique_ptr<AdmissionController> admission_;

@@ -2,7 +2,6 @@
 // accounting, and trust bookkeeping — at the granularity the paper's
 // §5.1 argument works at.
 
-#include <algorithm>
 
 #include <gtest/gtest.h>
 
@@ -19,15 +18,7 @@ IncEstimateOptions PaperExact() {
 }
 
 int32_t GroupOf(const IncrementalEngine& engine, FactId fact) {
-  const auto& groups = engine.groups();
-  for (size_t g = 0; g < groups.size(); ++g) {
-    if (std::find(groups[g].facts.begin(), groups[g].facts.end(), fact) !=
-        groups[g].facts.end()) {
-      return static_cast<int32_t>(g);
-    }
-  }
-  ADD_FAILURE() << "fact " << fact << " not in any group";
-  return -1;
+  return engine.index().group_of_fact(fact);
 }
 
 TEST(EngineDeltaHTest, R12BeatsR6InRoundOne) {
@@ -91,9 +82,9 @@ TEST(EngineCommitTest, PartialCommitKeepsRemainder) {
   MotivatingExample example = MakeMotivatingExample();
   IncrementalEngine engine(example.dataset, PaperExact());
   int32_t g = GroupOf(engine, 6);  // {r7, r8} share a signature.
-  ASSERT_EQ(engine.groups()[static_cast<size_t>(g)].remaining(), 2u);
+  ASSERT_EQ(engine.remaining(g), 2u);
   EXPECT_EQ(engine.CommitGroup(g, 1), 1);
-  EXPECT_EQ(engine.groups()[static_cast<size_t>(g)].remaining(), 1u);
+  EXPECT_EQ(engine.remaining(g), 1u);
   EXPECT_EQ(engine.remaining_facts(), 11);
   // Requesting more than available commits only the remainder.
   EXPECT_EQ(engine.CommitGroup(g, 99), 1);

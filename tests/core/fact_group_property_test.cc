@@ -53,7 +53,34 @@ void ExpectSameGroups(const std::vector<FactGroup>& actual,
   for (size_t g = 0; g < actual.size(); ++g) {
     EXPECT_EQ(actual[g].signature, expected[g].signature) << "group " << g;
     EXPECT_EQ(actual[g].facts, expected[g].facts) << "group " << g;
-    EXPECT_EQ(actual[g].committed, 0u) << "group " << g;
+  }
+}
+
+// The index's lookups agree with its own groups: every member maps
+// back to its group, each member slice sits at its offset in the flat
+// array, and each source lists exactly the groups whose signature
+// holds it, ascending.
+void ExpectIndexConsistent(const Dataset& dataset) {
+  const FactGroupIndex index(dataset);
+  ASSERT_EQ(index.num_facts(), dataset.num_facts());
+  ASSERT_EQ(index.num_sources(), dataset.num_sources());
+  std::vector<std::vector<int32_t>> by_source(
+      static_cast<size_t>(dataset.num_sources()));
+  for (int32_t g = 0; g < index.num_groups(); ++g) {
+    for (size_t i = 0; i < index.size(g); ++i) {
+      const FactId f = index.facts(g)[i];
+      EXPECT_EQ(index.group_of_fact(f), g) << "fact " << f;
+      EXPECT_EQ(index.member_facts()[index.member_offset(g) + i], f);
+    }
+    for (const SourceVote& sv : index.signature(g)) {
+      by_source[static_cast<size_t>(sv.source)].push_back(g);
+    }
+  }
+  for (SourceId s = 0; s < dataset.num_sources(); ++s) {
+    const auto groups = index.groups_of_source(s);
+    EXPECT_EQ(std::vector<int32_t>(groups.begin(), groups.end()),
+              by_source[static_cast<size_t>(s)])
+        << "source " << s;
   }
 }
 
@@ -82,6 +109,7 @@ TEST(FactGroupPropertyTest, MatchesReferenceOnRandomShapes) {
     proptest::ForEachSeed(0xFAC7, 25, [&](uint64_t seed) {
       const Dataset dataset = proptest::MakeRandomDataset(seed, shape.options);
       ExpectSameGroups(BuildFactGroups(dataset), ReferenceGroups(dataset));
+      ExpectIndexConsistent(dataset);
     });
   }
 }

@@ -49,17 +49,6 @@ TEST(FactGroupTest, GroupsOrderedByFirstFact) {
   }
 }
 
-TEST(FactGroupTest, RemainingAccounting) {
-  FactGroup g;
-  g.facts = {1, 2, 3};
-  EXPECT_EQ(g.remaining(), 3u);
-  EXPECT_FALSE(g.exhausted());
-  g.committed = 2;
-  EXPECT_EQ(g.remaining(), 1u);
-  g.committed = 3;
-  EXPECT_TRUE(g.exhausted());
-}
-
 TEST(FactGroupTest, NoVoteFactsFormEmptySignatureGroup) {
   DatasetBuilder builder;
   builder.AddSource("s");
@@ -75,19 +64,19 @@ TEST(FactGroupTest, NoVoteFactsFormEmptySignatureGroup) {
 TEST(SourceGroupIndexTest, AdjacencyIsComplete) {
   MotivatingExample example = MakeMotivatingExample();
   std::vector<FactGroup> groups = BuildFactGroups(example.dataset);
-  auto index = BuildSourceGroupIndex(groups, example.dataset.num_sources());
-  ASSERT_EQ(index.size(), 5u);
+  const FactGroupIndex index(example.dataset);
+  ASSERT_EQ(index.num_sources(), 5);
   // Every (group, source) incidence appears exactly once.
   for (size_t g = 0; g < groups.size(); ++g) {
     for (const SourceVote& sv : groups[g].signature) {
-      const auto& list = index[static_cast<size_t>(sv.source)];
+      const auto list = index.groups_of_source(sv.source);
       EXPECT_EQ(std::count(list.begin(), list.end(),
                            static_cast<int32_t>(g)),
                 1);
     }
   }
   // s4 (id 3) votes on 10 facts spanning 8 distinct signatures.
-  EXPECT_EQ(index[3].size(), 8u);
+  EXPECT_EQ(index.groups_of_source(3).size(), 8u);
 }
 
 }  // namespace

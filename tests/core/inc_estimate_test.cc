@@ -1,6 +1,5 @@
 #include "core/inc_estimate.h"
 
-#include <algorithm>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -15,15 +14,7 @@ namespace {
 
 // Group index lookup by a member fact id.
 int32_t GroupOf(const IncrementalEngine& engine, FactId fact) {
-  const auto& groups = engine.groups();
-  for (size_t g = 0; g < groups.size(); ++g) {
-    if (std::find(groups[g].facts.begin(), groups[g].facts.end(), fact) !=
-        groups[g].facts.end()) {
-      return static_cast<int32_t>(g);
-    }
-  }
-  ADD_FAILURE() << "fact " << fact << " not found in any group";
-  return -1;
+  return engine.index().group_of_fact(fact);
 }
 
 // Reproduces the paper's Section 2.3 walkthrough (Figure 1) by

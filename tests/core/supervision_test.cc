@@ -36,12 +36,7 @@ TEST(CommitRoundTest, ScriptedWalkthroughRoundsMatch) {
   options.trust_prior_weight = 0.0;
   IncrementalEngine engine(example.dataset, options);
   auto group_of = [&](FactId fact) {
-    for (size_t g = 0; g < engine.groups().size(); ++g) {
-      for (FactId f : engine.groups()[g].facts) {
-        if (f == fact) return static_cast<int32_t>(g);
-      }
-    }
-    return int32_t{-1};
+    return engine.index().group_of_fact(fact);
   };
   engine.CommitGroup(group_of(8), 1);
   engine.CommitGroup(group_of(11), 1);

@@ -32,6 +32,17 @@ namespace {
 
 StopSignal NoStop() { return StopSignal(); }
 
+template <typename Predicate>
+bool EventuallyTrue(Predicate predicate) {
+  CancellationToken pacer;
+  for (int i = 0; i < 400; ++i) {
+    if (predicate()) return true;
+    // lint: discard-ok: plain sleep; the token is never cancelled
+    (void)pacer.WaitForMs(5.0);
+  }
+  return predicate();
+}
+
 /// A corrobd on its own socket with Serve() on a background thread;
 /// drains on destruction. Mirrors the helper in server_test.cc.
 class Daemon {
@@ -364,6 +375,197 @@ TEST_F(WalServingTest, RejectedDeltaBatchLeavesWalAndStateUntouched) {
   Result<ApplyDeltaResponse> applied =
       client.ValueOrDie().ApplyDelta(SampleDeltaRequest(), NoStop());
   EXPECT_TRUE(applied.ok()) << applied.status().ToString();
+}
+
+// The fact-group index's lifecycle: built by the first IncEstimate
+// request at a generation and by nothing else, built once however
+// many requests race for it, and freed with its generation once the
+// runs holding that generation finish. Read from the stats document's
+// `fact_groups` object.
+class FactGroupLifecycleTest : public WalServingTest {
+ protected:
+  struct Tally {
+    int64_t builds = -1;
+    int64_t resident = -1;
+    int64_t resident_bytes = -1;
+    int64_t generation = -1;
+    bool built = false;
+    int64_t bytes = -1;
+  };
+
+  static Tally ReadTally(CorrobClient* client) {
+    Tally tally;
+    Result<std::string> stats = client->Stats(NoStop());
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    if (!stats.ok()) return tally;
+    obs::JsonValue doc;
+    EXPECT_TRUE(obs::JsonValue::Parse(stats.ValueOrDie(), &doc));
+    const obs::JsonValue* groups = doc.Find("fact_groups");
+    EXPECT_NE(groups, nullptr) << stats.ValueOrDie();
+    if (groups == nullptr) return tally;
+    tally.builds = groups->Find("builds")->int_value();
+    tally.resident = groups->Find("resident")->int_value();
+    tally.resident_bytes = groups->Find("resident_bytes")->int_value();
+    const obs::JsonValue& row = groups->Find("datasets")->at(0);
+    EXPECT_EQ(row.Find("dataset")->string_value(), "table1");
+    tally.generation = row.Find("generation")->int_value();
+    tally.built = row.Find("built")->bool_value();
+    tally.bytes = row.Find("bytes")->int_value();
+    return tally;
+  }
+
+  /// An IncEstHeu read; distinct `max_rounds` give distinct cache keys,
+  /// so each one misses and runs.
+  static CorroborateRequest IncEstHeuRead(uint32_t max_rounds) {
+    CorroborateRequest request;
+    request.dataset = "table1";
+    request.algorithm = "IncEstHeu";
+    request.max_rounds = max_rounds;
+    return request;
+  }
+
+  static void ExpectResult(const Result<CorroborateOutcome>& outcome) {
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(outcome.ValueOrDie().kind, CorroborateOutcome::Kind::kResult);
+  }
+};
+
+TEST_F(FactGroupLifecycleTest, BuiltOncePerGenerationAndOnlyByIncEstimate) {
+  Daemon daemon(WalOptionsBase());
+  ASSERT_TRUE(daemon.Launch().ok());
+  Result<CorrobClient> client = CorrobClient::Connect(socket_path_);
+  ASSERT_TRUE(client.ok());
+  CorrobClient* c = &client.ValueOrDie();
+
+  // TwoEstimate reads and a delta build nothing.
+  ExpectResult(c->Corroborate(SampleCorroborate(), NoStop()));
+  Tally tally = ReadTally(c);
+  EXPECT_EQ(tally.builds, 0);
+  EXPECT_EQ(tally.resident, 0);
+  EXPECT_EQ(tally.resident_bytes, 0);
+  EXPECT_FALSE(tally.built);
+  EXPECT_EQ(tally.bytes, 0);
+  ASSERT_TRUE(c->ApplyDelta(SampleDeltaRequest(), NoStop()).ok());
+  ExpectResult(c->Corroborate(SampleCorroborate(), NoStop()));
+  tally = ReadTally(c);
+  EXPECT_EQ(tally.builds, 0);
+  EXPECT_EQ(tally.generation, 2);
+  EXPECT_FALSE(tally.built);
+
+  // N IncEstHeu misses at one generation build it once.
+  for (uint32_t rounds = 1; rounds <= 5; ++rounds) {
+    ExpectResult(c->Corroborate(IncEstHeuRead(rounds), NoStop()));
+  }
+  tally = ReadTally(c);
+  EXPECT_EQ(tally.builds, 1);
+  EXPECT_EQ(tally.resident, 1);
+  EXPECT_TRUE(tally.built);
+  EXPECT_GT(tally.bytes, 0);
+  EXPECT_EQ(tally.resident_bytes, tally.bytes);
+
+  // A delta publishes an unbuilt generation and frees the old index;
+  // the first IncEstHeu read after it builds exactly one more.
+  ApplyDeltaRequest second;
+  second.dataset = "table1";
+  second.deltas = {MakeAddVote("late-witness", "obama-born-hawaii",
+                               Vote::kTrue)};
+  ASSERT_TRUE(c->ApplyDelta(second, NoStop()).ok());
+  tally = ReadTally(c);
+  EXPECT_EQ(tally.builds, 1);
+  EXPECT_EQ(tally.resident, 0);
+  EXPECT_EQ(tally.generation, 3);
+  EXPECT_FALSE(tally.built);
+  for (uint32_t rounds = 1; rounds <= 3; ++rounds) {
+    ExpectResult(c->Corroborate(IncEstHeuRead(rounds), NoStop()));
+  }
+  tally = ReadTally(c);
+  EXPECT_EQ(tally.builds, 2);
+  EXPECT_EQ(tally.resident, 1);
+  EXPECT_TRUE(tally.built);
+  EXPECT_TRUE(daemon.Drain().ok());
+}
+
+TEST_F(FactGroupLifecycleTest, ConcurrentFirstRequestsBuildOnce) {
+  ServerOptions options = WalOptionsBase();
+  options.run_threads = 4;
+  options.admission.max_concurrency = 4;
+  Daemon daemon(options);
+  ASSERT_TRUE(daemon.Launch().ok());
+
+  // Hold four misses with distinct keys just before their runs, then
+  // release them together: all four reach the unbuilt index at once.
+  Failpoints::Arm("server.request.stall",
+                  {.code = StatusCode::kInternal, .message = "stall"});
+  std::vector<Result<CorroborateOutcome>> outcomes(
+      4, Status::Internal("not yet run"));
+  std::vector<std::thread> readers;
+  for (uint32_t i = 0; i < 4; ++i) {
+    readers.emplace_back([&, i] {
+      Result<CorrobClient> reader = CorrobClient::Connect(socket_path_);
+      if (!reader.ok()) {
+        outcomes[i] = reader.status();
+        return;
+      }
+      outcomes[i] =
+          reader.ValueOrDie().Corroborate(IncEstHeuRead(i + 1), NoStop());
+    });
+  }
+  ASSERT_TRUE(EventuallyTrue(
+      [&] { return daemon.server().admission().running() == 4; }));
+  Failpoints::DisarmAll();
+  for (std::thread& reader : readers) reader.join();
+  for (const Result<CorroborateOutcome>& outcome : outcomes) {
+    ExpectResult(outcome);
+  }
+
+  Result<CorrobClient> client = CorrobClient::Connect(socket_path_);
+  ASSERT_TRUE(client.ok());
+  const Tally tally = ReadTally(&client.ValueOrDie());
+  EXPECT_EQ(tally.builds, 1);
+  EXPECT_EQ(tally.resident, 1);
+  EXPECT_TRUE(daemon.Drain().ok());
+}
+
+TEST_F(FactGroupLifecycleTest, OldGenerationIndexIsFreedWhenItsRunsFinish) {
+  Daemon daemon(WalOptionsBase());
+  ASSERT_TRUE(daemon.Launch().ok());
+  Result<CorrobClient> client = CorrobClient::Connect(socket_path_);
+  ASSERT_TRUE(client.ok());
+  CorrobClient* c = &client.ValueOrDie();
+  ExpectResult(c->Corroborate(IncEstHeuRead(1), NoStop()));
+  const int64_t first_bytes = ReadTally(c).bytes;
+  ASSERT_GT(first_bytes, 0);
+
+  // A run stalled at generation 1 keeps that generation alive.
+  Failpoints::Arm("server.request.stall",
+                  {.code = StatusCode::kInternal, .message = "stall"});
+  Result<CorroborateOutcome> held = Status::Internal("not yet run");
+  std::thread holder([&] {
+    Result<CorrobClient> reader = CorrobClient::Connect(socket_path_);
+    if (!reader.ok()) {
+      held = reader.status();
+      return;
+    }
+    held = reader.ValueOrDie().Corroborate(IncEstHeuRead(2), NoStop());
+  });
+  ASSERT_TRUE(EventuallyTrue(
+      [&] { return daemon.server().admission().running() == 1; }));
+  ASSERT_TRUE(c->ApplyDelta(SampleDeltaRequest(), NoStop()).ok());
+  Tally tally = ReadTally(c);
+  EXPECT_EQ(tally.generation, 2);
+  EXPECT_FALSE(tally.built);
+  EXPECT_EQ(tally.resident, 1);
+  EXPECT_EQ(tally.resident_bytes, first_bytes);
+
+  // Once the held run finishes, nothing holds generation 1.
+  Failpoints::DisarmAll();
+  holder.join();
+  ExpectResult(held);
+  ASSERT_TRUE(EventuallyTrue([&] { return ReadTally(c).resident == 0; }));
+  tally = ReadTally(c);
+  EXPECT_EQ(tally.resident_bytes, 0);
+  EXPECT_EQ(tally.builds, 1);
+  EXPECT_TRUE(daemon.Drain().ok());
 }
 
 }  // namespace
