@@ -4,6 +4,7 @@
 
 #include <sys/socket.h>
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -26,6 +27,7 @@
 #include "core/fact_group.h"
 #include "core/inc_estimate.h"
 #include "core/online.h"
+#include "core/registry.h"
 #include "core/three_estimate.h"
 #include "core/truth_finder.h"
 #include "core/two_estimate.h"
@@ -242,6 +244,23 @@ void BM_CosineScaling(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100000);
 }
 BENCHMARK(BM_CosineScaling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond);
+
+// Pasternack & Roth's fixpoints on the same corpus, sequential (they
+// have no thread option): /0 AvgLog, /1 Invest, /2 PooledInvest, with
+// the growth exponents the registry sets.
+void BM_PasternackRun(benchmark::State& state) {
+  const SyntheticDataset& data = SharedSynthetic(100000);
+  static constexpr const char* kVariants[] = {"AvgLog", "Invest",
+                                              "PooledInvest"};
+  const std::unique_ptr<Corroborator> pasternack =
+      MakeCorroborator(kVariants[state.range(0)]).ValueOrDie();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pasternack->Run(data.dataset).ValueOrDie());
+  }
+  state.SetItemsProcessed(state.iterations() * 100000);
+}
+BENCHMARK(BM_PasternackRun)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 void BM_IncEstHeuFull(benchmark::State& state) {

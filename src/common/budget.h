@@ -109,7 +109,7 @@ struct ResourceBudget {
   /// Maximum fixpoint iterations / Gibbs sweeps / IncEstimate rounds.
   int64_t max_rounds = 0;
   /// Maximum bytes of the Dataset's CSR + CSC arrays a fixpoint run
-  /// sweeps (VoteMatrix::ResidentBytes); checked once before the
+  /// sweeps (Dataset::ResidentBytes); checked once before the
   /// first iteration.
   int64_t max_vote_matrix_bytes = 0;
   /// Maximum facts an IncEstimate round may commit before the round

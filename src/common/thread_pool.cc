@@ -157,6 +157,11 @@ bool ParallelApply(ThreadPool* pool, int64_t count,
   return !stopped.load(std::memory_order_relaxed);
 }
 
+std::unique_ptr<ThreadPool> MakeSweepPool(int num_threads) {
+  if (num_threads <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(num_threads);
+}
+
 int DefaultThreadCount() {
   unsigned hardware = std::thread::hardware_concurrency();
   return hardware == 0 ? 4 : static_cast<int>(hardware);

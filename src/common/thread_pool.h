@@ -1,11 +1,11 @@
 #ifndef CORROB_COMMON_THREAD_POOL_H_
 #define CORROB_COMMON_THREAD_POOL_H_
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -76,53 +76,17 @@ void ParallelFor(int64_t count, int num_threads,
 /// chunks that have not started are skipped and the call returns
 /// false. A sweep cut short this way has written an unspecified
 /// subset of its outputs — callers must discard the partial sweep
-/// (e.g. restore a snapshot) before handing results out; the
-/// determinism contract only covers completed sweeps. Returns true
-/// when every range ran.
+/// (the fixpoint driver never swaps it in) before handing results
+/// out; the determinism contract only covers completed sweeps.
+/// Returns true when every range ran.
 bool ParallelApply(ThreadPool* pool, int64_t count,
                    const std::function<void(int64_t, int64_t)>& fn,
                    const StopSignal* stop = nullptr);
 
-/// Deterministic parallel reduction over [0, count).
-///
-/// The range is split into fixed-size chunks of `grain` indices — a
-/// layout that depends only on `count` and `grain`, never on the
-/// worker count or scheduling. Each chunk's partial value is computed
-/// by `map(begin, end)` sequentially in ascending index order, and the
-/// partials are folded with `combine` in ascending *chunk* order:
-///
-///   result = combine(...combine(combine(init, m0), m1)..., mK)
-///
-/// Because both the chunk layout and the combination order are fixed,
-/// the result is bit-identical for every pool size, including the
-/// pool-less inline path — never use atomics on doubles for this.
-template <typename T, typename Map, typename Combine>
-T DeterministicReduce(ThreadPool* pool, int64_t count, int64_t grain, T init,
-                      const Map& map, const Combine& combine) {
-  if (count <= 0) return init;
-  grain = std::max<int64_t>(1, grain);
-  const int64_t num_chunks = (count + grain - 1) / grain;
-  std::vector<T> partials(static_cast<size_t>(num_chunks));
-  if (pool == nullptr || pool->num_threads() <= 1 || num_chunks == 1) {
-    for (int64_t c = 0; c < num_chunks; ++c) {
-      partials[static_cast<size_t>(c)] =
-          map(c * grain, std::min(count, (c + 1) * grain));
-    }
-  } else {
-    for (int64_t c = 0; c < num_chunks; ++c) {
-      pool->Submit([&partials, &map, c, grain, count] {
-        partials[static_cast<size_t>(c)] =
-            map(c * grain, std::min(count, (c + 1) * grain));
-      });
-    }
-    pool->Wait();
-  }
-  T acc = init;
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    acc = combine(acc, partials[static_cast<size_t>(c)]);
-  }
-  return acc;
-}
+/// Worker pool for the iterative sweeps: null for num_threads <= 1
+/// (the sequential path), otherwise a pool with num_threads workers,
+/// created once per Run() and reused across iterations.
+std::unique_ptr<ThreadPool> MakeSweepPool(int num_threads);
 
 /// A reasonable worker count for compute-bound sweeps.
 int DefaultThreadCount();

@@ -15,31 +15,49 @@
 #include "core/corroborator.h"
 #include "core/run_context.h"
 #include "core/telemetry_util.h"
-#include "core/vote_matrix.h"
 #include "obs/trace.h"
 
 namespace corrob {
 
 /// The per-fact and per-source sweeps one fixpoint iteration runs:
-/// VoteMatrix's partitions bound to the run's pool and stop signal.
-/// Each returns false when the stop signal cut the sweep short.
+/// the Dataset's fact and source id ranges partitioned across the
+/// run's pool (inline when it is null — the sequential path), with
+/// the run's stop signal polled at chunk boundaries. `fn(id)` must
+/// only write state owned by `id`; each element is then computed
+/// exactly as in the sequential loop, so results are bit-identical at
+/// any thread count (see docs/PERFORMANCE.md). Each returns false
+/// when the stop signal cut the sweep short; its writes are then
+/// partial, and the driver discards them by not swapping them in.
 class FixpointSweeps {
  public:
-  FixpointSweeps(const VoteMatrix& matrix, ThreadPool* pool,
+  FixpointSweeps(const Dataset& dataset, ThreadPool* pool,
                  const StopSignal* stop)
-      : matrix_(matrix), pool_(pool), stop_(stop) {}
+      : dataset_(dataset), pool_(pool), stop_(stop) {}
 
   template <typename Fn>
   bool Facts(const Fn& fn) const {
-    return matrix_.ForEachFact(pool_, fn, stop_);
+    return Sweep(dataset_.num_facts(), fn);
   }
   template <typename Fn>
   bool Sources(const Fn& fn) const {
-    return matrix_.ForEachSource(pool_, fn, stop_);
+    return Sweep(dataset_.num_sources(), fn);
   }
 
  private:
-  const VoteMatrix& matrix_;
+  // FactId and SourceId are both int32_t.
+  template <typename Fn>
+  bool Sweep(int32_t count, const Fn& fn) const {
+    return ParallelApply(
+        pool_, count,
+        [&fn](int64_t begin, int64_t end) {
+          for (int64_t id = begin; id < end; ++id) {
+            fn(static_cast<int32_t>(id));
+          }
+        },
+        stop_);
+  }
+
+  const Dataset& dataset_;
   ThreadPool* pool_;
   const StopSignal* stop_;
 };
@@ -53,15 +71,18 @@ struct FixpointState {
 };
 
 /// The trust fixpoint shared by TwoEstimate, ThreeEstimate,
-/// TruthFinder and Cosine: a truth step and a trust step alternate
-/// until the L∞ trust delta falls under `options.tolerance` (paper
-/// §2.1). This is the only code in those methods that checks the
-/// shared options, builds the sweep view, pool and telemetry, polls
-/// the RunContext, measures convergence and assembles the result.
+/// TruthFinder, Cosine and Pasternack's AvgLog, Invest and
+/// PooledInvest: a truth step and a trust step alternate until the
+/// L∞ trust delta falls under `options.tolerance` (paper §2.1). This
+/// is the only code in those methods that checks the shared options,
+/// builds the sweeps, pool and telemetry, enforces the byte cap,
+/// polls the RunContext, measures convergence and assembles the
+/// result.
 ///
-/// `options` is any of the four methods' option structs; the driver
-/// reads initial_trust, max_iterations, num_threads, tolerance and
-/// collect_telemetry. Callers run their own option checks first.
+/// `options` is any struct with initial_trust, max_iterations,
+/// num_threads, tolerance and collect_telemetry (the methods' option
+/// structs, or Pasternack's fixed settings). Callers run their own
+/// option checks first.
 /// `span_name` must be a string literal (see CORROB_TRACE_SPAN).
 ///
 /// `step(sweeps, trust, next_trust)` runs one iteration. It reads
@@ -92,10 +113,9 @@ Result<CorroborationResult> RunTrustFixpoint(
   CORROB_RETURN_NOT_OK(ValidateResourceBudget(context.budget()));
 
   const obs::TraceSpan span(span_name);
-  const VoteMatrix matrix(dataset);
   std::unique_ptr<ThreadPool> pool = MakeSweepPool(options.num_threads);
-  const FixpointSweeps sweeps(matrix, pool.get(), context.sweep_stop());
-  const size_t sources = static_cast<size_t>(matrix.num_sources());
+  const FixpointSweeps sweeps(dataset, pool.get(), context.sweep_stop());
+  const size_t sources = static_cast<size_t>(dataset.num_sources());
   std::vector<double> trust(sources, options.initial_trust);
   std::vector<double> next_trust = trust;
   auto telemetry =
@@ -103,7 +123,7 @@ Result<CorroborationResult> RunTrustFixpoint(
 
   Termination termination = Termination::kIterationCap;
   int iteration = 0;
-  const auto over_budget = context.CheckMatrixBytes(matrix.ResidentBytes());
+  const auto over_budget = context.CheckMatrixBytes(dataset.ResidentBytes());
   if (over_budget) termination = *over_budget;
   for (; !over_budget && iteration < options.max_iterations; ++iteration) {
     if (auto interrupt = context.CheckIterationBoundary(iteration)) {

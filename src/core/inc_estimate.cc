@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "core/telemetry_util.h"
-#include "core/vote_matrix.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 

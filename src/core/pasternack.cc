@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/math_util.h"
+#include "core/fixpoint.h"
 
 namespace corrob {
 
@@ -24,133 +25,124 @@ Result<CorroborationResult> PasternackCorroborator::Run(
   if (options_.growth <= 0.0) {
     return Status::InvalidArgument("growth must be positive");
   }
-  if (options_.max_iterations < 1) {
-    return Status::InvalidArgument("max_iterations must be >= 1");
-  }
-  CORROB_RETURN_NOT_OK(ValidateResourceBudget(context.budget()));
+  // The driver settings Pasternack & Roth fix rather than expose:
+  // every source starts fully trusted, and the run is sequential and
+  // records no telemetry.
+  const struct {
+    double initial_trust = 1.0;
+    int max_iterations;
+    int num_threads = 1;
+    double tolerance;
+    bool collect_telemetry = false;
+  } settings{.max_iterations = options_.max_iterations,
+             .tolerance = options_.tolerance};
 
   const size_t facts = static_cast<size_t>(dataset.num_facts());
-  const size_t sources = static_cast<size_t>(dataset.num_sources());
-
+  const bool invest = options_.variant != PasternackVariant::kAvgLog;
   // Claims are indexed 2f (f-true) and 2f+1 (f-false).
-  std::vector<double> trust(sources, 1.0);
-  std::vector<double> belief(2 * facts, 0.0);
-
   auto claim_index = [](const FactVote& fv) {
-    return 2 * static_cast<size_t>(fv.fact) +
-           (fv.vote == Vote::kTrue ? 0 : 1);
+    return 2 * static_cast<size_t>(fv.fact) + (fv.vote == Vote::kTrue ? 0 : 1);
   };
-  auto claim_index_sv = [](FactId f, const SourceVote& sv) {
-    return 2 * static_cast<size_t>(f) + (sv.vote == Vote::kTrue ? 0 : 1);
-  };
-
-  Termination termination = Termination::kIterationCap;
-  int iteration = 0;
-  for (; iteration < options_.max_iterations; ++iteration) {
-    // Sequential fixpoint: iteration boundaries are the interruption
-    // points. `belief` still holds the previous iteration's values at
-    // the boundary, so an interrupted run returns exactly the state
-    // of a run truncated there.
-    if (auto interrupt = context.CheckIterationBoundary(iteration)) {
-      termination = *interrupt;
-      break;
+  std::vector<double> belief(2 * facts, 0.0);
+  std::vector<double> next_belief = belief;
+  // Invest: what each source puts on each of its claims, and each
+  // claim's total stake before growth, which the trust update pays
+  // the claim's belief back against.
+  std::vector<double> invested(
+      invest ? static_cast<size_t>(dataset.num_sources()) : 0);
+  std::vector<double> stake(invest ? 2 * facts : 0);
+  auto step = [&](const FixpointSweeps& sweep, const std::vector<double>& trust,
+                  std::vector<double>& next_trust) {
+    // Belief update. AvgLog: B(c) = Σ_{s asserts c} T(s). Invest: each
+    // source spreads its trust evenly over its claims, then G(x) = x^g
+    // grows each claim (Invest) or the claim's share of its
+    // mutual-exclusion pool (PooledInvest). The per-fact sweep adds
+    // each claim's terms in ascending source order (VotesOnFact's
+    // order), which the pinned answers depend on.
+    for (size_t s = 0; s < invested.size(); ++s) {
+      const auto votes = dataset.VotesBySource(static_cast<SourceId>(s));
+      invested[s] =
+          votes.empty() ? 0.0 : trust[s] / static_cast<double>(votes.size());
     }
-    std::fill(belief.begin(), belief.end(), 0.0);
-
-    if (options_.variant == PasternackVariant::kAvgLog) {
-      // B(c) = Σ_{s asserts c} T(s).
-      for (FactId f = 0; f < dataset.num_facts(); ++f) {
-        for (const SourceVote& sv : dataset.VotesOnFact(f)) {
-          belief[claim_index_sv(f, sv)] +=
-              trust[static_cast<size_t>(sv.source)];
-        }
-      }
-    } else {
-      // Invest: each source spreads its trust over its claims.
-      for (SourceId s = 0; s < dataset.num_sources(); ++s) {
-        auto votes = dataset.VotesBySource(s);
-        if (votes.empty()) continue;
-        double stake = trust[static_cast<size_t>(s)] /
-                       static_cast<double>(votes.size());
-        for (const FactVote& fv : votes) {
-          belief[claim_index(fv)] += stake;
-        }
-      }
-      // Growth G(x) = x^g, per claim (Invest) or on the claim's share
-      // of its mutual-exclusion pool (PooledInvest).
-      if (options_.variant == PasternackVariant::kPooledInvest) {
-        for (size_t f = 0; f < facts; ++f) {
-          double pool = belief[2 * f] + belief[2 * f + 1];
-          if (pool <= 0.0) continue;
-          double grown_true = std::pow(belief[2 * f] / pool, options_.growth);
-          double grown_false =
-              std::pow(belief[2 * f + 1] / pool, options_.growth);
-          double grown_pool = grown_true + grown_false;
-          belief[2 * f] = pool * grown_true / grown_pool;
-          belief[2 * f + 1] = pool * grown_false / grown_pool;
-        }
-      } else {
-        for (double& b : belief) b = std::pow(b, options_.growth);
-      }
-    }
-    MaxNormalize(&belief);
-
-    // Trust update.
-    std::vector<double> next_trust(sources, 0.0);
-    if (options_.variant == PasternackVariant::kAvgLog) {
-      for (SourceId s = 0; s < dataset.num_sources(); ++s) {
-        auto votes = dataset.VotesBySource(s);
-        if (votes.empty()) continue;
-        double sum = 0.0;
-        for (const FactVote& fv : votes) sum += belief[claim_index(fv)];
-        next_trust[static_cast<size_t>(s)] =
-            std::log1p(static_cast<double>(votes.size())) * sum /
-            static_cast<double>(votes.size());
-      }
-    } else {
-      // Credit each claim's belief back in proportion to the share of
-      // the total investment the source contributed.
-      std::vector<double> total_stake(2 * facts, 0.0);
-      for (SourceId s = 0; s < dataset.num_sources(); ++s) {
-        auto votes = dataset.VotesBySource(s);
-        if (votes.empty()) continue;
-        double stake = trust[static_cast<size_t>(s)] /
-                       static_cast<double>(votes.size());
-        for (const FactVote& fv : votes) {
-          total_stake[claim_index(fv)] += stake;
-        }
-      }
-      for (SourceId s = 0; s < dataset.num_sources(); ++s) {
-        auto votes = dataset.VotesBySource(s);
-        if (votes.empty()) continue;
-        double stake = trust[static_cast<size_t>(s)] /
-                       static_cast<double>(votes.size());
-        double sum = 0.0;
-        for (const FactVote& fv : votes) {
-          size_t c = claim_index(fv);
-          if (total_stake[c] > 0.0) {
-            sum += belief[c] * stake / total_stake[c];
+    const std::vector<double>& weight = invest ? invested : trust;
+    std::vector<double>& sums = invest ? stake : next_belief;
+    if (!sweep.Facts([&](FactId f) {
+          double sum_true = 0.0;
+          double sum_false = 0.0;
+          for (const SourceVote& sv : dataset.VotesOnFact(f)) {
+            const double w = weight[static_cast<size_t>(sv.source)];
+            if (sv.vote == Vote::kTrue) {
+              sum_true += w;
+            } else {
+              sum_false += w;
+            }
           }
-        }
-        next_trust[static_cast<size_t>(s)] = sum;
+          sums[2 * static_cast<size_t>(f)] = sum_true;
+          sums[2 * static_cast<size_t>(f) + 1] = sum_false;
+        })) {
+      return false;
+    }
+    if (options_.variant == PasternackVariant::kInvest) {
+      for (size_t c = 0; c < stake.size(); ++c) {
+        next_belief[c] = std::pow(stake[c], options_.growth);
       }
+    } else if (options_.variant == PasternackVariant::kPooledInvest) {
+      for (size_t c = 0; c < stake.size(); c += 2) {
+        const double pool = stake[c] + stake[c + 1];
+        if (pool <= 0.0) {
+          next_belief[c] = stake[c];
+          next_belief[c + 1] = stake[c + 1];
+          continue;
+        }
+        const double grown_true = std::pow(stake[c] / pool, options_.growth);
+        const double grown_false =
+            std::pow(stake[c + 1] / pool, options_.growth);
+        const double grown_pool = grown_true + grown_false;
+        next_belief[c] = pool * grown_true / grown_pool;
+        next_belief[c + 1] = pool * grown_false / grown_pool;
+      }
+    }
+    MaxNormalize(&next_belief);
+
+    // Trust update, partitioned by source; a source without votes
+    // gets 0.
+    if (!sweep.Sources([&](SourceId s) {
+          auto votes = dataset.VotesBySource(s);
+          double& out = next_trust[static_cast<size_t>(s)];
+          if (votes.empty()) {
+            out = 0.0;
+            return;
+          }
+          const double n = static_cast<double>(votes.size());
+          double sum = 0.0;
+          if (!invest) {
+            // AvgLog: log(1+|C_s|) times the mean belief of s's claims.
+            for (const FactVote& fv : votes) {
+              sum += next_belief[claim_index(fv)];
+            }
+            out = std::log1p(n) * sum / n;
+            return;
+          }
+          // Invest: each claim's belief paid back in proportion to the
+          // share of its stake that s invested.
+          for (const FactVote& fv : votes) {
+            const size_t c = claim_index(fv);
+            if (stake[c] > 0.0) {
+              sum += next_belief[c] * invested[static_cast<size_t>(s)] /
+                     stake[c];
+            }
+          }
+          out = sum;
+        })) {
+      return false;
     }
     MaxNormalize(&next_trust);
-
-    double max_change = 0.0;
-    for (size_t s = 0; s < sources; ++s) {
-      max_change = std::max(max_change, std::fabs(next_trust[s] - trust[s]));
-    }
-    trust = std::move(next_trust);
-    if (max_change < options_.tolerance) {
-      termination = Termination::kConverged;
-      ++iteration;
-      break;
-    }
-  }
-
-  CorroborationResult result;
-  result.algorithm = std::string(name());
+    return true;
+  };
+  CORROB_ASSIGN_OR_RETURN(
+      CorroborationResult result,
+      RunTrustFixpoint("Pasternack::Run", name(), settings, dataset, context,
+                       {{&belief, &next_belief}}, step));
   result.fact_probability.resize(facts, 0.5);
   for (size_t f = 0; f < facts; ++f) {
     double pool = belief[2 * f] + belief[2 * f + 1];
@@ -163,9 +155,6 @@ Result<CorroborationResult> PasternackCorroborator::Run(
       result.fact_probability[f] = belief[2 * f] / pool;
     }
   }
-  result.source_trust = std::move(trust);
-  result.iterations = iteration;
-  result.termination = termination;
   return result;
 }
 

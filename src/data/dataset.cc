@@ -98,6 +98,14 @@ int32_t NameTable::Add(const std::string& name) {
   return it->second;
 }
 
+int64_t Dataset::ResidentBytes() const {
+  const int64_t offsets = (int64_t{num_facts()} + 1 + num_sources() + 1) *
+                          static_cast<int64_t>(sizeof(size_t));
+  const int64_t entries =
+      num_votes() * static_cast<int64_t>(sizeof(SourceVote) + sizeof(FactVote));
+  return offsets + entries;
+}
+
 Result<SourceId> Dataset::FindSource(const std::string& name) const {
   const SourceId id = sources_ != nullptr ? sources_->Find(name) : -1;
   if (id < 0) return Status::NotFound("no source named '" + name + "'");

@@ -66,6 +66,10 @@ class Dataset {
   int32_t num_facts() const { return facts_ ? facts_->size() : 0; }
   /// Total number of materialized (non '-') votes.
   int64_t num_votes() const { return num_votes_; }
+  /// Bytes of the CSR/CSC arrays (offsets plus vote entries, both
+  /// orientations) that a fixpoint sweep reads; what
+  /// ResourceBudget::max_vote_matrix_bytes is enforced against.
+  int64_t ResidentBytes() const;
 
   const std::string& source_name(SourceId s) const { return sources_->name(s); }
   const std::string& fact_name(FactId f) const { return facts_->name(f); }

@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <set>
@@ -229,49 +228,12 @@ TEST(ParallelApplyTest, ReusableAcrossIterations) {
   }
 }
 
-TEST(DeterministicReduceTest, BitIdenticalAcrossPoolSizes) {
-  // A sum of irrational-ish doubles is order-sensitive in the last
-  // ulps; the fixed chunk layout + fixed fold order must erase any
-  // dependence on the worker count.
-  constexpr int64_t kCount = 4097;  // Not a multiple of the grain.
-  auto map = [](int64_t begin, int64_t end) {
-    double sum = 0.0;
-    for (int64_t i = begin; i < end; ++i) {
-      sum += 1.0 / (1.0 + static_cast<double>(i) * 0.137);
-    }
-    return sum;
-  };
-  auto combine = [](double a, double b) { return a + b; };
-  const double inline_result =
-      DeterministicReduce(nullptr, kCount, 64, 0.0, map, combine);
-  for (int threads : {1, 2, 4, 8}) {
-    ThreadPool pool(threads);
-    const double pooled =
-        DeterministicReduce(&pool, kCount, 64, 0.0, map, combine);
-    EXPECT_EQ(std::bit_cast<uint64_t>(inline_result),
-              std::bit_cast<uint64_t>(pooled))
-        << threads << " threads";
-  }
-}
-
-TEST(DeterministicReduceTest, EmptyRangeReturnsInit) {
-  auto map = [](int64_t, int64_t) { return 1.0; };
-  auto combine = [](double a, double b) { return a + b; };
-  EXPECT_EQ(DeterministicReduce(nullptr, 0, 16, 42.0, map, combine), 42.0);
-}
-
-TEST(DeterministicReduceTest, CombineSeesChunksInAscendingOrder) {
-  ThreadPool pool(4);
-  std::vector<int64_t> order;
-  auto map = [](int64_t begin, int64_t) { return begin; };
-  auto combine = [&order](int64_t acc, int64_t chunk_begin) {
-    order.push_back(chunk_begin);
-    return acc;
-  };
-  DeterministicReduce<int64_t>(&pool, 100, 10, 0, map, combine);
-  std::vector<int64_t> expected;
-  for (int64_t b = 0; b < 100; b += 10) expected.push_back(b);
-  EXPECT_EQ(order, expected);
+TEST(MakeSweepPoolTest, NullForSequentialCounts) {
+  EXPECT_EQ(MakeSweepPool(0), nullptr);
+  EXPECT_EQ(MakeSweepPool(1), nullptr);
+  auto pool = MakeSweepPool(3);
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->num_threads(), 3);
 }
 
 TEST(DefaultThreadCountTest, Positive) {

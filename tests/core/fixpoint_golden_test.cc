@@ -1,13 +1,14 @@
-// Golden answers for the four methods on the trust-fixpoint driver
+// Golden answers for the methods on the trust-fixpoint driver
 // (core/fixpoint.h). The parity suites compare one build's code paths
 // against each other, so a sweep that reads the wrong iteration's
 // state would pass them; these values pin what each method returns on
 // three seeded random datasets.
 //
 // TwoEstimate and ThreeEstimate use only IEEE + - * / and Clamp, so
-// their answers are pinned bit for bit. TruthFinder and Cosine call
-// log and pow, whose last bit may differ between libm versions, so
-// they are pinned to 1e-12.
+// their answers are pinned bit for bit. TruthFinder, Cosine and
+// Pasternack's AvgLog, Invest and PooledInvest call log, log1p or
+// pow, whose last bit may differ between libm versions, so they are
+// pinned to 1e-12.
 //
 // The values are printf("%a") output, so each literal is exact; a
 // change that moves any of them changes a method's answers.
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "core/cosine.h"
+#include "core/pasternack.h"
 #include "core/three_estimate.h"
 #include "core/truth_finder.h"
 #include "core/two_estimate.h"
@@ -96,7 +98,19 @@ Method MakeMethod(const std::string& name) {
     return {std::make_unique<TruthFinderCorroborator>(TruthFinderOptions{}),
             false};
   }
-  return {std::make_unique<CosineCorroborator>(CosineOptions{}), false};
+  if (name == "Cosine") {
+    return {std::make_unique<CosineCorroborator>(CosineOptions{}), false};
+  }
+  // Pasternack: the variants and growth exponents the registry builds.
+  PasternackOptions options;
+  if (name == "Invest") {
+    options.variant = PasternackVariant::kInvest;
+    options.growth = 1.2;
+  } else if (name == "PooledInvest") {
+    options.variant = PasternackVariant::kPooledInvest;
+    options.growth = 1.4;
+  }
+  return {std::make_unique<PasternackCorroborator>(options), false};
 }
 
 struct Golden {
@@ -263,6 +277,92 @@ std::vector<Golden> Goldens() {
      {
          0x1p+0, 0x1.61a3f4d8002acp-1, 0x1.fffffffffffffp-1,
          0x1.ffb807ab299eap-1, 0x1.ccccccccccccdp-1, 0x1.fffffffffffffp-1,
+     }},
+    {"AvgLog", 0, 32,
+     {
+         0x1p+0, 0x1.206d1f83fd65ep-1, 0x1.c0747b93d6e02p-1, 0x1p+0, 0x1p+0,
+         0x1p+0, 0x1p+0, 0x1p-1, 0x1.7231adb48becbp-3, 0x1p+0, 0x1p+0,
+         0x1.829b9a73ada47p-1, 0x1p+0,
+     },
+     {
+         0x1.f7ad4dd1a84bap-1, 0x1p+0, 0x1.8bcc1baed9473p-1,
+         0x1.c3dfd3c53f29bp-3, 0x1.900145e0040ccp-2,
+     }},
+    {"Invest", 0, 44,
+     {
+         0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0, 0x1p-1,
+         0x1.96737c0fceedp-254, 0x1p+0, 0x1p+0, 0x1.6e1133d686926p-3, 0x1p+0,
+     },
+     {
+         0x1.45d31cb9bd85dp-70, 0x1.0ddf9c7f5e07cp-31, 0x1p+0,
+         0x1.3db3d90feb19ap-257, 0x1.19ebb76e73ee4p-68,
+     }},
+    {"PooledInvest", 0, 100,
+     {
+         0x1p+0, 0x1.ffffffdcc0cffp-1, 0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0,
+         0x1p-1, 0x1.ffffffed54436p-1, 0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0,
+     },
+     {
+         0x1.c2f4469606753p-20, 0x1.5cbd3539411e2p-21, 0x1.a498158eb54a8p-1,
+         0x1p+0, 0x1.8792907285241p-117,
+     }},
+    {"AvgLog", 1, 19,
+     {
+         0x1.fa9965e41ce09p-2, 0x0p+0, 0x1p+0, 0x1.726c3edc7a479p-1, 0x1p+0,
+         0x1.9840a4e2a093p-1, 0x1.0ed06b21e2fc3p-1, 0x0p+0, 0x1p+0,
+         0x1.7731516c7a775p-1,
+     },
+     {
+         0x1.56ce36074b7cbp-1, 0x1p+0, 0x1.80eacaf96568cp-1,
+         0x1.c40afbde4f2bcp-1,
+     }},
+    {"Invest", 1, 100,
+     {
+         0x1.ffeae8ce3f6b7p-1, 0x0p+0, 0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0,
+         0x1.fffffffff612cp-1, 0x0p+0, 0x1p+0, 0x1.51731c0a3d32bp-13,
+     },
+     {
+         0x1.cf36b5f5406bp-77, 0x1.2694ed331f8a8p-11, 0x1.b041daba54dfcp-45,
+         0x1p+0,
+     }},
+    {"PooledInvest", 1, 100,
+     {
+         0x1.ffff3bd040f1dp-1, 0x0p+0, 0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0, 0x1p+0,
+         0x0p+0, 0x1p+0, 0x1.fffffe7dea09cp-1,
+     },
+     {
+         0x1.18f2614daf975p-97, 0x1.81339d8f28b05p-13, 0x1p+0,
+         0x1.4565afe4bfde2p-18,
+     }},
+    {"AvgLog", 2, 49,
+     {
+         0x1p+0, 0x1p+0, 0x1p+0, 0x1p-1, 0x1p-1, 0x1p+0, 0x1p+0, 0x1p+0,
+         0x1p+0, 0x1p-1, 0x1p+0, 0x1p-1, 0x1p+0, 0x1p+0, 0x1.4f9637a510378p-1,
+         0x0p+0, 0x1p-1, 0x1p-1, 0x1p-1,
+     },
+     {
+         0x1.6429b3feecc39p-2, 0x1.b1fc24bcf6d36p-1, 0x1.6f8a78e61fb6ap-1,
+         0x1.c8478a0c2081ep-2, 0x0p+0, 0x1p+0,
+     }},
+    {"Invest", 2, 43,
+     {
+         0x1p+0, 0x1p+0, 0x1p+0, 0x1p-1, 0x1p-1, 0x1p+0, 0x1p+0, 0x1p+0,
+         0x1p+0, 0x1p-1, 0x1p+0, 0x1p-1, 0x1p+0, 0x1p+0, 0x1p+0, 0x0p+0,
+         0x1p-1, 0x1p-1, 0x1p-1,
+     },
+     {
+         0x1.011f10d801699p-120, 0x1.c2d01a80a5901p-32, 0x1p+0,
+         0x1.ba9c4a4977p-280, 0x0p+0, 0x1.72122e9c52ee9p-70,
+     }},
+    {"PooledInvest", 2, 88,
+     {
+         0x1p+0, 0x1p+0, 0x1p+0, 0x1p-1, 0x1p-1, 0x1p+0, 0x1p+0, 0x1p+0,
+         0x1p+0, 0x1p-1, 0x1p+0, 0x1p-1, 0x1p+0, 0x1p+0, 0x1.fffffffffd8ffp-1,
+         0x0p+0, 0x1p-1, 0x1p-1, 0x1p-1,
+     },
+     {
+         0x1.0000000c672d3p-1, 0x1p+0, 0x1.0000000c672cep-1,
+         0x1.8ce566630665bp-29, 0x0p+0, 0x1.0000000c672ccp-1,
      }},
   };
 }

@@ -1,5 +1,6 @@
 // The trust-fixpoint driver (core/fixpoint.h) shared by TwoEstimate,
-// ThreeEstimate, TruthFinder and Cosine. A deadline on a clock that
+// ThreeEstimate, TruthFinder, Cosine and Pasternack's AvgLog, Invest
+// and PooledInvest, and its FixpointSweeps. A deadline on a clock that
 // ticks once per read fires at an exact poll, so the stop lands
 // sometimes on an iteration boundary and sometimes inside a sweep.
 // Either way the run must hand back exactly the state of an
@@ -19,6 +20,7 @@
 
 #include "common/budget.h"
 #include "core/cosine.h"
+#include "core/pasternack.h"
 #include "core/run_context.h"
 #include "core/three_estimate.h"
 #include "core/truth_finder.h"
@@ -53,6 +55,8 @@ struct DriverMethod {
   std::function<std::unique_ptr<Corroborator>(int max_iterations,
                                               int num_threads)>
       make;
+  /// Pasternack has no thread option; it always runs sequentially.
+  std::vector<int> thread_counts = {1, 4};
 };
 
 template <typename Method, typename Options>
@@ -63,6 +67,15 @@ std::unique_ptr<Corroborator> Make(int max_iterations, int num_threads) {
   return std::make_unique<Method>(options);
 }
 
+template <PasternackVariant variant>
+std::unique_ptr<Corroborator> MakePasternack(int max_iterations,
+                                             int /*num_threads*/) {
+  PasternackOptions options;
+  options.variant = variant;
+  options.max_iterations = max_iterations;
+  return std::make_unique<PasternackCorroborator>(options);
+}
+
 std::vector<DriverMethod> DriverMethods() {
   return {
       {"TwoEstimate", 2, Make<TwoEstimateCorroborator, TwoEstimateOptions>},
@@ -70,13 +83,17 @@ std::vector<DriverMethod> DriverMethods() {
        Make<ThreeEstimateCorroborator, ThreeEstimateOptions>},
       {"TruthFinder", 2, Make<TruthFinderCorroborator, TruthFinderOptions>},
       {"Cosine", 2, Make<CosineCorroborator, CosineOptions>},
+      {"AvgLog", 2, MakePasternack<PasternackVariant::kAvgLog>, {1}},
+      {"Invest", 2, MakePasternack<PasternackVariant::kInvest>, {1}},
+      {"PooledInvest", 2, MakePasternack<PasternackVariant::kPooledInvest>,
+       {1}},
   };
 }
 
 TEST(FixpointTest, DeadlineAtEveryPollMatchesTruncatedRun) {
   constexpr int kMaxIterations = 10;
   for (const DriverMethod& method : DriverMethods()) {
-    for (int threads : {1, 4}) {
+    for (int threads : method.thread_counts) {
       SCOPED_TRACE(method.name + " threads=" + std::to_string(threads));
       const auto full = method.make(kMaxIterations, threads);
       ForEachSeed(0xF1C5ED, 2, [&](uint64_t seed) {
@@ -128,6 +145,36 @@ TEST(FixpointTest, DeadlineAtEveryPollMatchesTruncatedRun) {
       });
     }
   }
+}
+
+TEST(FixpointSweepsTest, CoversEveryIdOnceSequentially) {
+  const Dataset dataset = MakeRandomDataset(123);
+  const FixpointSweeps sweeps(dataset, nullptr, nullptr);
+  std::vector<int> fact_hits(static_cast<size_t>(dataset.num_facts()), 0);
+  EXPECT_TRUE(sweeps.Facts([&](FactId f) {
+    ++fact_hits[static_cast<size_t>(f)];
+  }));
+  for (int h : fact_hits) EXPECT_EQ(h, 1);
+
+  std::vector<int> source_hits(static_cast<size_t>(dataset.num_sources()), 0);
+  EXPECT_TRUE(sweeps.Sources([&](SourceId s) {
+    ++source_hits[static_cast<size_t>(s)];
+  }));
+  for (int h : source_hits) EXPECT_EQ(h, 1);
+}
+
+TEST(FixpointSweepsTest, WithPoolCoversEveryIdOnce) {
+  const Dataset dataset = MakeRandomDataset(321);
+  auto pool = MakeSweepPool(4);
+  ASSERT_NE(pool, nullptr);
+  const FixpointSweeps sweeps(dataset, pool.get(), nullptr);
+  std::vector<std::atomic<int>> hits(
+      static_cast<size_t>(dataset.num_facts()));
+  for (auto& h : hits) h.store(0);
+  EXPECT_TRUE(sweeps.Facts([&](FactId f) {
+    hits[static_cast<size_t>(f)].fetch_add(1);
+  }));
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 // Both of the driver's trust buffers start at the initial trust and a
